@@ -451,16 +451,25 @@ impl Autoscaler {
         Ok(())
     }
 
-    /// Plans one interval: transitions fully-drained nodes to parked, updates the
-    /// trigger streaks from `snapshots` (the previous interval's node states), and
+    /// Plans one interval: transitions fully-drained instances to parked, updates the
+    /// trigger streaks from `snapshots` (the previous interval's instance states), and
     /// fires at most one membership change. `total_load` is the fleet's offered load
     /// for the coming interval in node-saturation units; `slots_per_node` is the
-    /// co-location width (a draining node parks once all its slots are free).
+    /// co-location width (a draining instance parks once all its slots are free).
+    ///
+    /// Membership changes are instance-atomic (an instance and all the logical nodes
+    /// it stands for drain or reactivate as one block — which is what keeps replica
+    /// weights constant over a run, so node-side weighted accounting stays exact),
+    /// while every trigger is evaluated in logical-node units: per-node load divides
+    /// by the replica-weighted active count, the violation fraction weighs each
+    /// violating instance by its replicas, `min_active` bounds logical nodes, and a
+    /// drain's load projection removes the candidate's whole weight. On an exact
+    /// fleet every weight is 1 and each instance is one node.
     ///
     /// # Panics
     ///
-    /// Panics if `snapshots.len()` differs from the fleet size.
-    pub fn plan(
+    /// Panics if `snapshots.len()` differs from the instance count.
+    pub fn plan_grouped(
         &mut self,
         total_load: f64,
         snapshots: &[NodeSnapshot],
@@ -469,40 +478,38 @@ impl Autoscaler {
         assert_eq!(
             snapshots.len(),
             self.states.len(),
-            "autoscaler built for {} nodes, got {} snapshots",
+            "autoscaler built for {} instances, got {} snapshots",
             self.states.len(),
             snapshots.len()
         );
 
-        // Park fully-drained nodes (suspending costs nothing to decide; no cooldown).
+        // Park fully-drained instances (suspending costs nothing to decide; no
+        // cooldown).
         for (state, snap) in self.states.iter_mut().zip(snapshots) {
             if *state == NodePowerState::Draining && snap.free_slots == slots_per_node {
                 *state = NodePowerState::Parked;
             }
         }
 
-        let active_count = self.active_count();
-        let per_node_load = total_load / active_count.max(1) as f64;
-        let violating = self
+        let active_replicas = self.active_replicas();
+        let per_node_load = total_load / active_replicas.max(1) as f64;
+        let violating: usize = self
             .states
             .iter()
             .zip(snapshots)
-            .filter(|(state, snap)| {
+            .zip(&self.weights)
+            .filter(|((state, snap), _)| {
                 **state == NodePowerState::Active && snap.smoothed_p99_s > snap.qos_target_s
             })
-            .count();
+            .map(|(_, w)| *w)
+            .sum();
         let pressure = violating > 0
-            && violating as f64 >= self.config.scale_out_violation_fraction * active_count as f64;
-        let can_grow = active_count < self.states.len();
-        let projected_after_drain = if active_count > 1 {
-            total_load / (active_count - 1) as f64
-        } else {
-            f64::INFINITY
-        };
-        // Scale-in needs demonstrated headroom on every serving node, not merely the
-        // absence of violations: a fleet hovering just under its target would fail the
-        // drain it is about to attempt. The projection must also clear both the
-        // configured ceiling and the learned one.
+            && violating as f64
+                >= self.config.scale_out_violation_fraction * active_replicas as f64;
+        let can_grow = self.states.iter().any(|s| *s != NodePowerState::Active);
+        // Scale-in needs demonstrated headroom on every serving instance, not merely
+        // the absence of violations: a fleet hovering just under its target would fail
+        // the drain it is about to attempt.
         let headroom = self.states.iter().zip(snapshots).all(|(state, snap)| {
             *state != NodePowerState::Active
                 || snap.smoothed_p99_s <= self.config.scale_in_max_p99_fraction * snap.qos_target_s
@@ -511,10 +518,18 @@ impl Autoscaler {
             .config
             .scale_in_max_load
             .min(BURN_MARGIN * self.burned_per_node_load);
-        let can_shrink = active_count > self.config.min_active
-            && violating == 0
-            && headroom
-            && projected_after_drain <= drain_ceiling;
+        // A drain candidate must leave at least `min_active` logical nodes serving and
+        // keep the survivors' per-node load at or below the ceiling *after losing the
+        // candidate's whole replica block*.
+        let drain_eligible = |scaler: &Self, i: usize| {
+            scaler.states[i] == NodePowerState::Active && {
+                let remaining = active_replicas - scaler.weights[i];
+                remaining >= scaler.config.min_active
+                    && total_load / remaining as f64 <= drain_ceiling
+            }
+        };
+        let can_shrink =
+            violating == 0 && headroom && (0..self.states.len()).any(|i| drain_eligible(self, i));
 
         // Streaks accumulate even through a cooldown, so an operating point that keeps
         // its trigger asserted acts immediately once the hold expires. The pressure
@@ -565,142 +580,8 @@ impl Autoscaler {
         }
 
         if self.in_streak >= self.config.scale_in_sustain_intervals {
-            // Drain the least-loaded active node: lowest service utilization, ties
-            // broken toward the highest index (node 0 stays active the longest).
-            let target = snapshots
-                .iter()
-                .filter(|s| self.states[s.index] == NodePowerState::Active)
-                .min_by(|a, b| {
-                    a.utilization
-                        .total_cmp(&b.utilization)
-                        .then(b.index.cmp(&a.index))
-                })
-                // pliant-lint: allow(panic-hygiene): scale-in is only considered while
-                // the active count exceeds `min_active >= 1` (checked just above).
-                .expect("an active node exists")
-                .index;
-            self.states[target] = NodePowerState::Draining;
-            self.cooldown = self.config.cooldown_intervals;
-            self.out_streak = 0;
-            self.in_streak = 0;
-            return AutoscalerAction::ScaleIn(target);
-        }
-
-        AutoscalerAction::Hold
-    }
-
-    /// Clustered-fleet variant of [`Self::plan`]: membership changes are
-    /// instance-atomic (a representative and all the logical nodes it stands for drain
-    /// or reactivate as one block — which is what keeps replica weights constant over a
-    /// run, so node-side weighted accounting stays exact), while every trigger is
-    /// evaluated in logical-node units: per-node load divides by the replica-weighted
-    /// active count, the violation fraction weighs each violating instance by its
-    /// replicas, `min_active` bounds logical nodes, and a drain's load projection
-    /// removes the candidate's whole weight. With unit weights every quantity
-    /// coincides with [`Self::plan`]'s and the two make identical decisions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `snapshots.len()` differs from the instance count.
-    pub fn plan_grouped(
-        &mut self,
-        total_load: f64,
-        snapshots: &[NodeSnapshot],
-        slots_per_node: usize,
-    ) -> AutoscalerAction {
-        assert_eq!(
-            snapshots.len(),
-            self.states.len(),
-            "autoscaler built for {} instances, got {} snapshots",
-            self.states.len(),
-            snapshots.len()
-        );
-
-        // Park fully-drained instances (suspending costs nothing to decide; no
-        // cooldown).
-        for (state, snap) in self.states.iter_mut().zip(snapshots) {
-            if *state == NodePowerState::Draining && snap.free_slots == slots_per_node {
-                *state = NodePowerState::Parked;
-            }
-        }
-
-        let active_replicas = self.active_replicas();
-        let per_node_load = total_load / active_replicas.max(1) as f64;
-        let violating: usize = self
-            .states
-            .iter()
-            .zip(snapshots)
-            .zip(&self.weights)
-            .filter(|((state, snap), _)| {
-                **state == NodePowerState::Active && snap.smoothed_p99_s > snap.qos_target_s
-            })
-            .map(|(_, w)| *w)
-            .sum();
-        let pressure = violating > 0
-            && violating as f64
-                >= self.config.scale_out_violation_fraction * active_replicas as f64;
-        let can_grow = self.states.iter().any(|s| *s != NodePowerState::Active);
-        let headroom = self.states.iter().zip(snapshots).all(|(state, snap)| {
-            *state != NodePowerState::Active
-                || snap.smoothed_p99_s <= self.config.scale_in_max_p99_fraction * snap.qos_target_s
-        });
-        let drain_ceiling = self
-            .config
-            .scale_in_max_load
-            .min(BURN_MARGIN * self.burned_per_node_load);
-        // A drain candidate must leave at least `min_active` logical nodes serving and
-        // keep the survivors' per-node load at or below the ceiling *after losing the
-        // candidate's whole replica block*.
-        let drain_eligible = |scaler: &Self, i: usize| {
-            scaler.states[i] == NodePowerState::Active && {
-                let remaining = active_replicas - scaler.weights[i];
-                remaining >= scaler.config.min_active
-                    && total_load / remaining as f64 <= drain_ceiling
-            }
-        };
-        let can_shrink =
-            violating == 0 && headroom && (0..self.states.len()).any(|i| drain_eligible(self, i));
-
-        self.out_streak = if pressure && can_grow {
-            self.streak_peak_load = if self.out_streak == 0 {
-                per_node_load
-            } else {
-                self.streak_peak_load.max(per_node_load)
-            };
-            self.out_streak + 1
-        } else {
-            0
-        };
-        self.in_streak = if can_shrink { self.in_streak + 1 } else { 0 };
-
-        let overload_ceiling = self.config.scale_out_load.min(self.burned_per_node_load);
-        if can_grow && per_node_load > overload_ceiling {
-            let target = self.reactivation_target();
-            self.states[target] = NodePowerState::Active;
-            self.cooldown = self.config.cooldown_intervals;
-            self.out_streak = 0;
-            self.in_streak = 0;
-            return AutoscalerAction::ScaleOut(target);
-        }
-
-        if self.cooldown > 0 {
-            self.cooldown -= 1;
-            return AutoscalerAction::Hold;
-        }
-
-        if self.out_streak >= self.config.scale_out_sustain_intervals {
-            self.burned_per_node_load = self.burned_per_node_load.min(self.streak_peak_load);
-            let target = self.reactivation_target();
-            self.states[target] = NodePowerState::Active;
-            self.cooldown = self.config.cooldown_intervals;
-            self.out_streak = 0;
-            self.in_streak = 0;
-            return AutoscalerAction::ScaleOut(target);
-        }
-
-        if self.in_streak >= self.config.scale_in_sustain_intervals {
-            // Drain the least-utilized *eligible* instance, ties toward the highest
-            // index, mirroring the exact policy.
+            // Drain the least-utilized *eligible* instance, ties broken toward the
+            // highest index (instance 0 stays active the longest).
             let target = snapshots
                 .iter()
                 .filter(|s| drain_eligible(self, s.index))
@@ -723,6 +604,21 @@ impl Autoscaler {
         AutoscalerAction::Hold
     }
 
+    /// Plans one interval; the same routine as [`Self::plan_grouped`], under the
+    /// name callers planning an exact fleet use.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `snapshots.len()` differs from the instance count.
+    pub fn plan(
+        &mut self,
+        total_load: f64,
+        snapshots: &[NodeSnapshot],
+        slots_per_node: usize,
+    ) -> AutoscalerAction {
+        self.plan_grouped(total_load, snapshots, slots_per_node)
+    }
+
     /// Re-checks the park transition *outside* the planning step: a drain that
     /// completes mid-interval — because a migration emptied the node's last busy slot
     /// — parks before the node step, so the interval bills the park draw and the
@@ -730,7 +626,7 @@ impl Autoscaler {
     /// instead of one interval late. Appends the indices of newly-parked instances to
     /// `parked` (a caller-owned scratch buffer; the per-interval hot path reuses it
     /// instead of allocating). No cooldown, exactly as the park path in
-    /// [`Self::plan`]: suspending costs nothing to decide.
+    /// [`Self::plan_grouped`]: suspending costs nothing to decide.
     ///
     /// # Panics
     ///
@@ -768,7 +664,7 @@ impl Autoscaler {
                     .position(|s| *s == NodePowerState::Parked)
             })
             // pliant-lint: allow(panic-hygiene): both scale-out paths check
-            // `active_count < n` before calling, so a non-active node exists.
+            // `can_grow` (some instance is not active) before calling.
             .expect("scale-out requires an inactive node")
     }
 }
@@ -1056,34 +952,6 @@ mod tests {
             0.9,
             "the ceiling must be the streak's peak load, not the completion load (0.5)"
         );
-    }
-
-    #[test]
-    fn grouped_planning_with_unit_weights_matches_the_exact_planner() {
-        // Replay a load trace that exercises scale-in, park, feed-forward scale-out,
-        // and pressure through both planners; decisions and states must agree.
-        let loads = [
-            0.8, 0.8, 0.8, 0.8, 0.8, 0.8, 0.8, 0.8, 2.2, 2.2, 0.8, 0.8, 0.8, 0.8,
-        ];
-        let mut exact = Autoscaler::new(config(), 4);
-        let mut grouped = Autoscaler::for_instances(config(), vec![1; 4]);
-        let mut snaps = healthy(4);
-        snaps[2].utilization = 0.2;
-        for (t, &load) in loads.iter().enumerate() {
-            if t == 6 {
-                // Whatever drained by now reports free slots so it can park.
-                for (i, s) in exact.states().iter().enumerate() {
-                    if *s != NodePowerState::Active {
-                        snaps[i].free_slots = 1;
-                    }
-                }
-            }
-            let a = exact.plan(load, &snaps, 1);
-            let b = grouped.plan_grouped(load, &snaps, 1);
-            assert_eq!(a, b, "interval {t}: planners diverged");
-            assert_eq!(exact.states(), grouped.states(), "interval {t}");
-        }
-        assert_eq!(exact.active_count(), grouped.active_replicas());
     }
 
     #[test]

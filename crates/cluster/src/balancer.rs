@@ -117,61 +117,22 @@ impl LoadBalancer {
         Ok(())
     }
 
-    /// Splits `total_load` (node-saturation units) into one offered-load fraction per
-    /// node for the coming interval.
+    /// Splits `total_load` (node-saturation units) across the fleet's instances for
+    /// the coming interval, writing each instance's **per-replica** offered-load
+    /// fraction into `out` (`out[i] × weights[i]` summed over active instances equals
+    /// `total_load`).
     ///
-    /// `snapshots` carries each node's state as of the end of the previous interval
-    /// (smoothed tail latency, QoS target); the greedy policies use it to bias quanta
-    /// away from struggling nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `snapshots.len()` differs from the fleet size the balancer was built
-    /// for.
-    pub fn split(&mut self, total_load: f64, snapshots: &[NodeSnapshot]) -> Vec<f64> {
-        self.split_inner(total_load, snapshots, None)
-    }
-
-    /// Like [`Self::split`], but restricted to the nodes marked `true` in `active`:
-    /// inactive nodes (drained or parked by an autoscaler) are assigned exactly zero
-    /// load and the quanta budget scales with the active count. With every node active
-    /// this is identical to [`Self::split`] draw-for-draw, so enabling an autoscaler
-    /// that never acts does not perturb any stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `snapshots.len()` or `active.len()` differs from the fleet size.
-    pub fn split_active(
-        &mut self,
-        total_load: f64,
-        snapshots: &[NodeSnapshot],
-        active: &[bool],
-    ) -> Vec<f64> {
-        assert_eq!(
-            active.len(),
-            self.nodes,
-            "balancer built for {} nodes, got {} active flags",
-            self.nodes,
-            active.len()
-        );
-        self.split_inner(total_load, snapshots, Some(active))
-    }
-
-    /// Splits `total_load` across a *clustered* fleet of representative instances,
-    /// writing each instance's **per-replica** offered-load fraction into `out`
-    /// (`out[i] × weights[i]` summed over active instances equals `total_load`).
-    ///
-    /// `weights[i]` is the number of logical nodes instance `i` stands for, and
-    /// `active[i]` marks instances currently serving (autoscaling is instance-atomic in
-    /// clustered mode, so a whole replica block drains together). The policies mirror
-    /// [`Self::split`] at the logical-node level: round-robin hands every active
-    /// logical node an even share; the greedy policies dispatch
+    /// `weights[i]` is the number of logical nodes instance `i` stands for (1 on an
+    /// exact fleet), and `active[i]` marks instances currently serving: inactive ones
+    /// (drained, parked, or down) are assigned exactly zero load. `snapshots` carries
+    /// each instance's state as of the end of the previous interval; the greedy
+    /// policies use it to bias quanta away from struggling nodes. Round-robin hands
+    /// every active logical node an even share; the greedy policies dispatch
     /// `QUANTA_PER_NODE × active instances` quanta (instances, not logical nodes, so
     /// dispatch cost scales with what is actually simulated), each quantum routed by
     /// per-replica assigned load plus the tail-latency penalty; power-of-two-choices
     /// samples its pairs weighted by replica count, exactly as if it sampled logical
-    /// nodes. With unit weights and the same mask this reproduces
-    /// [`Self::split_active`] draw-for-draw.
+    /// nodes.
     ///
     /// `out` is a caller-owned scratch buffer (cleared and refilled) so the
     /// per-interval loop stays allocation-free.
@@ -206,6 +167,9 @@ impl LoadBalancer {
         if total_load <= 0.0 || active_instances == 0 {
             return;
         }
+        // Rotating a full interval's worth of quanta over the serving nodes hands each
+        // exactly its share, so round-robin needs no quantum loop (and no rotation
+        // state): it is the even split, computed directly.
         if self.kind == BalancerKind::RoundRobin {
             let share = total_load / active_weight as f64;
             for i in 0..n {
@@ -217,8 +181,15 @@ impl LoadBalancer {
         }
         let quanta = QUANTA_PER_NODE * active_instances;
         let quantum = total_load / quanta as f64;
-        // Same tail-latency penalty as the exact split (see split_inner), computed on
-        // the fly to keep this scratch-buffer path allocation-free.
+        // A node's tail-latency *excess* over its QoS target counts as load it is
+        // already carrying: a node at 1.5x its target must shed traffic even if the
+        // dispatcher just assigned it little. Two normalizations keep the feedback loop
+        // stable: latency below the target carries no penalty (differences between
+        // healthy nodes must not unbalance the split), and the penalty is relative to
+        // the least-stressed *serving* node — when the whole fleet is equally hot (e.g.
+        // the convergence transient, or an overload no split can fix) shedding from
+        // everyone to everyone would only slosh load around, so the split stays even.
+        // Computed on the fly to keep the split allocation-free.
         let excess = |s: &NodeSnapshot| {
             if s.qos_target_s > 0.0 {
                 (s.smoothed_p99_s / s.qos_target_s - 1.0).max(0.0)
@@ -236,11 +207,15 @@ impl LoadBalancer {
             BalancerKind::RoundRobin => unreachable!("handled above"),
             BalancerKind::LeastLoaded => {
                 for _ in 0..quanta {
+                    // Prefer serving nodes under the saturation cap; once every one is
+                    // at capacity the overload has nowhere better to go and spills onto
+                    // the least-loaded serving node. `total_cmp`, not
+                    // `partial_cmp(..).expect(..)`: a NaN estimate must degrade to a
+                    // deterministic pick (NaN sorts last in a min_by), not panic. The
+                    // `out + (excess - floor)` grouping is part of the pinned output.
                     let target = (0..n)
                         .filter(|&i| active[i] && out[i] < MAX_OFFERED_LOAD)
                         .min_by(|&a, &b| {
-                            // Parenthesized as `assigned + (excess - floor)` to match
-                            // split_inner's precomputed penalty bit-for-bit.
                             (out[a] + (excess(&snapshots[a]) - floor))
                                 .total_cmp(&(out[b] + (excess(&snapshots[b]) - floor)))
                         })
@@ -262,6 +237,8 @@ impl LoadBalancer {
                 for _ in 0..quanta {
                     let a = pick_weighted(&mut self.rng, weights, active, active_weight);
                     let b = pick_weighted(&mut self.rng, weights, active, active_weight);
+                    // Same capacity rule as least-loaded, restricted to the sampled
+                    // pair: a saturated choice loses to an unsaturated one.
                     let a_capped = out[a] >= MAX_OFFERED_LOAD;
                     let b_capped = out[b] >= MAX_OFFERED_LOAD;
                     let target = match (a_capped, b_capped) {
@@ -282,140 +259,12 @@ impl LoadBalancer {
             }
         }
     }
-
-    fn split_inner(
-        &mut self,
-        total_load: f64,
-        snapshots: &[NodeSnapshot],
-        active: Option<&[bool]>,
-    ) -> Vec<f64> {
-        assert_eq!(
-            snapshots.len(),
-            self.nodes,
-            "balancer built for {} nodes, got {} snapshots",
-            self.nodes,
-            snapshots.len()
-        );
-        let n = self.nodes;
-        let is_active = |i: usize| active.is_none_or(|m| m[i]);
-        let active_count = active.map_or(n, |m| m.iter().filter(|a| **a).count());
-        let mut assigned = vec![0.0f64; n];
-        if total_load <= 0.0 || active_count == 0 {
-            return assigned;
-        }
-        // Rotating a full interval's worth of quanta over the serving nodes hands each
-        // exactly quanta/active_count of them, so round-robin needs no quantum loop
-        // (and no rotation state): it is the even split, computed directly.
-        if self.kind == BalancerKind::RoundRobin {
-            let share = total_load / active_count as f64;
-            for (i, slot) in assigned.iter_mut().enumerate() {
-                if is_active(i) {
-                    *slot = share;
-                }
-            }
-            return assigned;
-        }
-        let quanta = QUANTA_PER_NODE * active_count;
-        let quantum = total_load / quanta as f64;
-        // A node's tail-latency *excess* over its QoS target counts as load it is
-        // already carrying: a node at 1.5x its target must shed traffic even if the
-        // dispatcher just assigned it little. Two normalizations keep the feedback loop
-        // stable: latency below the target carries no penalty (differences between
-        // healthy nodes must not unbalance the split), and the penalty is relative to
-        // the least-stressed *serving* node — when the whole fleet is equally hot (e.g.
-        // the convergence transient, or an overload no split can fix) shedding from
-        // everyone to everyone would only slosh load around, so the split stays even.
-        let excess: Vec<f64> = snapshots
-            .iter()
-            .map(|s| {
-                if s.qos_target_s > 0.0 {
-                    (s.smoothed_p99_s / s.qos_target_s - 1.0).max(0.0)
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        let floor = excess
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| is_active(*i))
-            .map(|(_, e)| *e)
-            .fold(f64::INFINITY, f64::min);
-        let penalty: Vec<f64> = excess.iter().map(|e| e - floor).collect();
-        match self.kind {
-            BalancerKind::RoundRobin => unreachable!("handled above"),
-            BalancerKind::LeastLoaded => {
-                for _ in 0..quanta {
-                    // Prefer serving nodes under the saturation cap; once every one is
-                    // at capacity the overload has nowhere better to go and spills onto
-                    // the least-loaded serving node.
-                    // `total_cmp`, not `partial_cmp(..).expect(..)`: loads are finite by
-                    // construction, but a NaN estimate must degrade to a deterministic
-                    // pick (NaN sorts last in a min_by), not panic the dispatch loop.
-                    let target = (0..n)
-                        .filter(|&i| is_active(i) && assigned[i] < MAX_OFFERED_LOAD)
-                        .min_by(|&a, &b| {
-                            (assigned[a] + penalty[a]).total_cmp(&(assigned[b] + penalty[b]))
-                        })
-                        .or_else(|| {
-                            (0..n)
-                                .filter(|&i| is_active(i))
-                                .min_by(|&a, &b| assigned[a].total_cmp(&assigned[b]))
-                        })
-                        // pliant-lint: allow(panic-hygiene): split() rejects an empty
-                        // active set before dispatch, so a serving node always exists.
-                        .expect("at least one serving node");
-                    assigned[target] += quantum;
-                }
-            }
-            BalancerKind::PowerOfTwoChoices => {
-                // With no mask the pair is drawn over node indices directly; with one,
-                // over positions in the active set. For an all-active mask the two are
-                // the same draws, keeping pre-autoscaler streams intact.
-                let pick = |rng: &mut SmallRng, active: Option<&[bool]>| match active {
-                    None => rng.gen_range(0..n),
-                    Some(mask) => {
-                        let pos = rng.gen_range(0..active_count);
-                        mask.iter()
-                            .enumerate()
-                            .filter(|(_, a)| **a)
-                            .nth(pos)
-                            // pliant-lint: allow(panic-hygiene): `pos` is drawn from
-                            // `0..active_count` and the mask has that many set bits.
-                            .expect("position is within the active count")
-                            .0
-                    }
-                };
-                for _ in 0..quanta {
-                    let a = pick(&mut self.rng, active);
-                    let b = pick(&mut self.rng, active);
-                    // Same capacity rule as least-loaded, restricted to the sampled
-                    // pair: a saturated choice loses to an unsaturated one.
-                    let a_capped = assigned[a] >= MAX_OFFERED_LOAD;
-                    let b_capped = assigned[b] >= MAX_OFFERED_LOAD;
-                    let target = match (a_capped, b_capped) {
-                        (false, true) => a,
-                        (true, false) => b,
-                        _ => {
-                            if assigned[a] + penalty[a] <= assigned[b] + penalty[b] {
-                                a
-                            } else {
-                                b
-                            }
-                        }
-                    };
-                    assigned[target] += quantum;
-                }
-            }
-        }
-        assigned
-    }
 }
 
 /// Draws one logical node uniformly from the active population (positions
 /// `0..active_weight`) and returns the representative instance that owns it: instance
-/// `i` owns a contiguous run of `weights[i]` positions. With unit weights this is
-/// exactly the masked nth-set-bit pick of [`LoadBalancer::split_active`].
+/// `i` owns a contiguous run of `weights[i]` positions. With unit weights this is the
+/// uniform pick of the `pos`-th serving node.
 fn pick_weighted(
     rng: &mut SmallRng,
     weights: &[usize],
@@ -452,10 +301,22 @@ mod tests {
             .collect()
     }
 
+    /// Unit-weight split over the nodes marked `true` in `active`.
+    fn unit_split(
+        b: &mut LoadBalancer,
+        total: f64,
+        snaps: &[NodeSnapshot],
+        active: &[bool],
+    ) -> Vec<f64> {
+        let mut out = Vec::new();
+        b.split_grouped(total, snaps, &vec![1; snaps.len()], active, &mut out);
+        out
+    }
+
     #[test]
     fn round_robin_splits_evenly_regardless_of_latency() {
         let mut b = BalancerKind::RoundRobin.build(4, 1);
-        let split = b.split(2.0, &snapshots(&[0.05, 0.0, 0.0, 0.0]));
+        let split = unit_split(&mut b, 2.0, &snapshots(&[0.05, 0.0, 0.0, 0.0]), &[true; 4]);
         for share in &split {
             assert!(
                 (share - 0.5).abs() < 1e-12,
@@ -468,13 +329,13 @@ mod tests {
     fn least_loaded_shifts_load_away_from_hot_nodes() {
         let mut b = BalancerKind::LeastLoaded.build(3, 1);
         // Node 0 is at 3x its QoS target; nodes 1 and 2 are clean.
-        let split = b.split(1.5, &snapshots(&[0.03, 0.0, 0.0]));
+        let split = unit_split(&mut b, 1.5, &snapshots(&[0.03, 0.0, 0.0]), &[true; 3]);
         assert!(split[0] < split[1]);
         assert!(split[0] < split[2]);
         assert!((split.iter().sum::<f64>() - 1.5).abs() < 1e-9);
         // With a modest overload the hot node still gets *some* traffic once the others
         // have caught up to its penalty.
-        let mild = b.split(9.0, &snapshots(&[0.011, 0.01, 0.01]));
+        let mild = unit_split(&mut b, 9.0, &snapshots(&[0.011, 0.01, 0.01]), &[true; 3]);
         assert!(mild[0] > 0.0);
     }
 
@@ -483,7 +344,12 @@ mod tests {
         // Latency differences *below* the QoS target carry no penalty: biasing on them
         // would slosh load between healthy nodes and oscillate.
         let mut b = BalancerKind::LeastLoaded.build(4, 1);
-        let split = b.split(2.0, &snapshots(&[0.009, 0.002, 0.005, 0.0]));
+        let split = unit_split(
+            &mut b,
+            2.0,
+            &snapshots(&[0.009, 0.002, 0.005, 0.0]),
+            &[true; 4],
+        );
         for share in &split {
             assert!(
                 (share - 0.5).abs() < 1e-12,
@@ -494,16 +360,14 @@ mod tests {
 
     #[test]
     fn p2c_is_deterministic_in_its_seed_and_balances() {
-        let split_a = BalancerKind::PowerOfTwoChoices
-            .build(4, 9)
-            .split(2.0, &snapshots(&[0.0; 4]));
-        let split_b = BalancerKind::PowerOfTwoChoices
-            .build(4, 9)
-            .split(2.0, &snapshots(&[0.0; 4]));
+        let p2c = |seed| {
+            let mut b = BalancerKind::PowerOfTwoChoices.build(4, seed);
+            unit_split(&mut b, 2.0, &snapshots(&[0.0; 4]), &[true; 4])
+        };
+        let split_a = p2c(9);
+        let split_b = p2c(9);
         assert_eq!(split_a, split_b, "same seed, same split");
-        let split_c = BalancerKind::PowerOfTwoChoices
-            .build(4, 10)
-            .split(2.0, &snapshots(&[0.0; 4]));
+        let split_c = p2c(10);
         assert_ne!(split_a, split_c, "different seed, different sampling");
         assert!((split_a.iter().sum::<f64>() - 2.0).abs() < 1e-9);
         // No node is starved or doubled-up under uniform conditions.
@@ -516,42 +380,18 @@ mod tests {
     fn masked_split_starves_inactive_nodes_and_conserves_load() {
         for kind in BalancerKind::all() {
             let mut b = kind.build(4, 3);
-            let split = b.split_active(1.5, &snapshots(&[0.0; 4]), &[true, false, true, false]);
+            let split = unit_split(
+                &mut b,
+                1.5,
+                &snapshots(&[0.0; 4]),
+                &[true, false, true, false],
+            );
             assert_eq!(split[1], 0.0, "{kind}: drained nodes get no traffic");
             assert_eq!(split[3], 0.0, "{kind}: parked nodes get no traffic");
             assert!(split[0] > 0.0 && split[2] > 0.0, "{kind}");
             assert!(
                 (split.iter().sum::<f64>() - 1.5).abs() < 1e-9,
                 "{kind}: masked splits conserve load"
-            );
-        }
-    }
-
-    #[test]
-    fn all_active_mask_matches_the_unmasked_split_draw_for_draw() {
-        for kind in BalancerKind::all() {
-            let snaps = snapshots(&[0.012, 0.0, 0.03, 0.0]);
-            let unmasked = kind.build(4, 11).split(2.2, &snaps);
-            let masked = kind.build(4, 11).split_active(2.2, &snaps, &[true; 4]);
-            assert_eq!(
-                unmasked, masked,
-                "{kind}: enabling an idle autoscaler must not perturb the split"
-            );
-        }
-    }
-
-    #[test]
-    fn grouped_split_with_unit_weights_matches_the_masked_split() {
-        for kind in BalancerKind::all() {
-            let snaps = snapshots(&[0.012, 0.0, 0.03, 0.0]);
-            let mask = [true, false, true, true];
-            let masked = kind.build(4, 11).split_active(2.2, &snaps, &mask);
-            let mut grouped = Vec::new();
-            kind.build(4, 11)
-                .split_grouped(2.2, &snaps, &[1; 4], &mask, &mut grouped);
-            assert_eq!(
-                masked, grouped,
-                "{kind}: unit-weight grouped dispatch must reproduce the exact split"
             );
         }
     }
@@ -589,7 +429,10 @@ mod tests {
     fn zero_load_assigns_nothing() {
         for kind in BalancerKind::all() {
             let mut b = kind.build(3, 5);
-            assert_eq!(b.split(0.0, &snapshots(&[0.0; 3])), vec![0.0; 3]);
+            assert_eq!(
+                unit_split(&mut b, 0.0, &snapshots(&[0.0; 3]), &[true; 3]),
+                vec![0.0; 3]
+            );
         }
     }
 

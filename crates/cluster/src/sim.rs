@@ -1,36 +1,50 @@
 //! The fleet simulator: N nodes coupled by a load balancer and a batch scheduler.
 //!
-//! A [`ClusterSim`] advances the whole fleet one decision interval at a time:
+//! A [`ClusterSim`] advances the whole fleet one decision interval at a time.
+//! [`ClusterSim::advance_threads`] runs the interval as a fixed sequence of phases,
+//! one method each:
 //!
-//! 1. the per-node-average load profile is sampled and scaled to the fleet's total
-//!    offered load;
-//! 2. the batch scheduler places queued jobs into slots freed by jobs that completed in
-//!    the previous interval;
-//! 3. the [`LoadBalancer`] splits the total load into
-//!    per-node assignments (using the previous interval's node snapshots);
-//! 4. every node advances independently — its simulator, monitor, policy, and actuator
-//!    run the exact single-node loop.
+//! 1. **faults** — recover nodes whose outage or slowdown expired, then apply the
+//!    faults scheduled for this interval (a crash requeues its unfinished jobs);
+//! 2. **load** — sample the per-node-average load profile and scale it to the
+//!    logical fleet's total offered load;
+//! 3. **autoscale** — the [`Autoscaler`], when configured, plans the active set from
+//!    the previous interval's node snapshots;
+//! 4. **serve** — suspend every node the autoscaler parked or a crash took down, and
+//!    record the interval's *serving mask* (autoscaler-active and healthy), which
+//!    every later phase reads;
+//! 5. **rack admission** — a rack whose measured draw reached its power budget
+//!    admits no new work this interval (racked topologies only);
+//! 6. **consolidation** — live-migrate draining nodes' jobs onto serving nodes with
+//!    free slots and park the drains this empties (when the autoscaler consolidates);
+//! 7. **placement** — the batch scheduler places queued jobs into free slots on
+//!    serving nodes (confined to one sampled rack per job on racked topologies);
+//! 8. **dispatch** — the [`LoadBalancer`] splits the total load over the serving
+//!    nodes;
+//! 9. **step** — every node advances independently: its simulator, monitor, policy,
+//!    and actuator run the exact single-node loop;
+//! 10. **account** — job completions, per-rack power draw, the clock, and the
+//!     interval rollup.
 //!
-//! Step 4 is embarrassingly parallel: nodes share no state within an interval, and all
-//! cross-node decisions (balancing, placement) happen between intervals on the
+//! The step phase is embarrassingly parallel: nodes share no state within an
+//! interval, and all cross-node decisions happen in the other phases on the
 //! coordinating thread. [`ClusterSim::advance_threads`] therefore produces results
 //! byte-identical to [`ClusterSim::advance`] for any worker count.
 //!
 //! # Population vs instances
 //!
 //! The scenario describes a *population* of logical nodes
-//! (see [`NodePopulation`]); what the simulator steps are *instances*. Under
-//! [`FleetApproximation::Exact`](crate::scenario::FleetApproximation::Exact) the two
-//! coincide — one instance per logical node, byte-identical to the pre-population
-//! simulator. Under
+//! (see [`NodePopulation`]); what the simulator steps are *instances*, each standing
+//! for `replicas` interchangeable logical nodes. The balancer splits the *logical*
+//! total load over instances (weighted, per-replica), the scheduler pops
+//! replica-sized job batches, the autoscaler parks and drains whole replica blocks,
+//! and every per-node statistic an instance produces is replicated by its weight
+//! node-side. Under
+//! [`FleetApproximation::Exact`](crate::scenario::FleetApproximation::Exact) every
+//! weight is 1 and the instances are the logical nodes; under
 //! [`FleetApproximation::Clustered`](crate::scenario::FleetApproximation::Clustered)
-//! each instance is a representative standing for
-//! `replicas` interchangeable logical nodes: the balancer splits the *logical* total
-//! load over representatives (weighted, per-replica), the scheduler pops replica-sized
-//! job batches, the autoscaler parks and drains whole replica blocks, and every
-//! per-node statistic a representative produces is replicated by its weight
-//! node-side. Interval cost then scales with the number of instances while the
-//! reported fleet stays at its logical size.
+//! interval cost scales with the number of representatives while the reported fleet
+//! stays at its logical size. Both run the same code after construction.
 
 use pliant_approx::catalog::{AppId, Catalog};
 use pliant_telemetry::obs::{
@@ -65,8 +79,8 @@ pub struct ClusterInterval {
     /// Total offered load for the interval, in node-saturation units
     /// (`avg_offered_load × logical nodes`).
     pub total_offered_load: f64,
-    /// Logical nodes that served traffic this interval (the autoscaler's active set;
-    /// the full fleet when no autoscaler is configured).
+    /// Logical nodes that served traffic this interval: autoscaler-active (every node
+    /// without an autoscaler) and not down.
     pub active_nodes: usize,
     /// Jobs placed onto nodes at the start of the interval (logical count: a clustered
     /// batch of `w` jobs collapsed onto one representative counts `w`).
@@ -88,16 +102,17 @@ pub struct ClusterSim {
     nodes: Vec<Option<ClusterNode>>,
     /// Logical nodes each instance stands for (all ones in exact mode).
     replica_weights: Vec<usize>,
-    /// Whether the clustered approximation is active (instances ≠ logical nodes).
-    clustered: bool,
     balancer: LoadBalancer,
     scheduler: BatchScheduler,
     /// Energy-aware sizing of the active node set (`None` = every node always serves).
     autoscaler: Option<Autoscaler>,
     /// Fault injection: the compiled schedule and per-instance health (`None` when the
-    /// scenario carries no fault profile — fault-free runs take exactly the historical
-    /// code paths, byte-for-byte).
+    /// scenario carries no fault profile).
     faults: Option<FaultState>,
+    /// Per-instance serving mask of the current interval: autoscaler-active and
+    /// healthy. Recomputed once per interval by the serve phase; consolidation,
+    /// placement, dispatch, and the serving count all read it.
+    serving: Vec<bool>,
     time_s: f64,
     intervals: usize,
     /// Persistent worker pool for parallel node updates, created on first parallel
@@ -107,12 +122,9 @@ pub struct ClusterSim {
     snapshot_scratch: Vec<NodeSnapshot>,
     /// Scratch buffer of pooled step results, reused across intervals.
     result_scratch: Vec<Option<NodeInterval>>,
-    /// Scratch buffer of per-instance load assignments (clustered mode only; the exact
-    /// path keeps the historical allocating balancer calls for byte-identity).
+    /// Per-instance, per-replica load assignments of the current interval, reused
+    /// across intervals.
     assigned_scratch: Vec<f64>,
-    /// Scratch buffer of per-instance active flags (clustered mode and fault-aware
-    /// exact mode).
-    active_scratch: Vec<bool>,
     /// Scratch buffer of `(app, weight)` jobs aborted off a crashed node, reused
     /// across crash events.
     requeue_scratch: Vec<(AppId, usize)>,
@@ -125,7 +137,7 @@ pub struct ClusterSim {
     power_state_scratch: Vec<NodePowerState>,
     /// The resolved physical topology: racks as shared power budgets and failure
     /// domains. A flat scenario resolves to one unbudgeted rack holding the whole
-    /// fleet and takes the historical code paths byte-for-byte.
+    /// fleet and skips every rack phase.
     topology: Topology,
     /// Rack of each instance, via its seed member (replica groups never span racks —
     /// see [`NodeGroup::rack`](crate::population::NodeGroup::rack) — so the seed
@@ -152,6 +164,14 @@ fn power_state_kind(state: NodePowerState) -> PowerStateKind {
         NodePowerState::Draining => PowerStateKind::Draining,
         NodePowerState::Parked => PowerStateKind::Parked,
     }
+}
+
+/// A batch application's position in [`AppId::all`], as traced in job events.
+fn job_code(app: AppId) -> u32 {
+    AppId::all()
+        .iter()
+        .position(|a| *a == app)
+        .map_or(u32::MAX, |p| p as u32)
 }
 
 impl ClusterSim {
@@ -208,7 +228,7 @@ impl ClusterSim {
             _ => population.plan_instances(&scenario.approximation),
         };
         // In exact mode the plans are one weight-1 instance per logical node in node
-        // order, so this loop is the historical per-node construction verbatim.
+        // order, so this loop builds the nodes in fleet order.
         let nodes: Vec<Option<ClusterNode>> = plans
             .iter()
             .enumerate()
@@ -292,9 +312,9 @@ impl ClusterSim {
             scenario: scenario.clone(),
             catalog: catalog.clone(),
             population,
+            serving: vec![true; nodes.len()],
             nodes,
             replica_weights,
-            clustered,
             balancer,
             scheduler,
             autoscaler,
@@ -305,7 +325,6 @@ impl ClusterSim {
             snapshot_scratch: Vec::new(),
             result_scratch: Vec::new(),
             assigned_scratch: Vec::new(),
-            active_scratch: Vec::new(),
             requeue_scratch: Vec::new(),
             fleet_obs,
             power_state_scratch: Vec::new(),
@@ -337,13 +356,8 @@ impl ClusterSim {
     pub fn take_event_log(&mut self) -> EventLog {
         let level = self.fleet_obs.level();
         let fleet = std::mem::replace(&mut self.fleet_obs, ObsBuffer::disabled());
-        let buffers = std::iter::once(fleet).chain(self.nodes.iter_mut().map(|slot| {
-            slot.as_mut()
-                // pliant-lint: allow(panic-hygiene): slots are full between intervals;
-                // the log is taken after the run, never mid-step.
-                .expect("node slots are only empty while a step is in flight")
-                .take_obs_buffer()
-        }));
+        let buffers = std::iter::once(fleet)
+            .chain((0..self.nodes.len()).map(|i| self.node_mut(i).take_obs_buffer()));
         EventLog::merge(level, buffers)
     }
 
@@ -416,13 +430,17 @@ impl ClusterSim {
             .map(|f| f.stats(self.population.total_nodes(), self.intervals))
     }
 
-    /// Logical nodes currently serving traffic (the whole fleet without an
-    /// autoscaler). In clustered mode a whole replica block counts at once, since the
-    /// autoscaler parks and drains instances atomically.
+    /// Logical nodes serving traffic in the interval last advanced (the whole fleet
+    /// before the first): the replica-weighted count of instances that are
+    /// autoscaler-active and not down. Equals that interval's
+    /// [`ClusterInterval::active_nodes`].
     pub fn active_nodes(&self) -> usize {
-        self.autoscaler
-            .as_ref()
-            .map_or(self.population.total_nodes(), |a| a.active_replicas())
+        self.serving
+            .iter()
+            .zip(&self.replica_weights)
+            .filter(|(serving, _)| **serving)
+            .map(|(_, weight)| weight)
+            .sum()
     }
 
     /// The current snapshots of every instance, in instance order.
@@ -448,6 +466,43 @@ impl ClusterSim {
             // pliant-lint: allow(panic-hygiene): the worker pool refills every slot
             // before step() returns; observers never run while a step is in flight.
             .expect("node slots are only empty while a step is in flight")
+    }
+
+    /// Mutable access to instance `index` between node steps.
+    fn node_mut(&mut self, index: usize) -> &mut ClusterNode {
+        self.nodes[index]
+            .as_mut()
+            // pliant-lint: allow(panic-hygiene): slots are full between node steps —
+            // the pool hands every node back before a step returns.
+            .expect("node slots are only empty while a step is in flight")
+    }
+
+    /// Refills `out` with every instance's current snapshot, in instance order (an
+    /// associated function so callers can borrow other fields alongside).
+    fn fill_snapshots(nodes: &[Option<ClusterNode>], out: &mut Vec<NodeSnapshot>) {
+        out.clear();
+        out.extend(nodes.iter().map(|n| Self::expect_node(n).snapshot()));
+    }
+
+    /// Instance `index`'s autoscaler power state (`Active` without an autoscaler).
+    fn power_state(&self, index: usize) -> NodePowerState {
+        self.autoscaler
+            .as_ref()
+            .map_or(NodePowerState::Active, |a| a.states()[index])
+    }
+
+    /// Whether instance `index`'s fault health lets it serve (always, without faults).
+    fn healthy(&self, index: usize) -> bool {
+        self.faults
+            .as_ref()
+            .is_none_or(|f| f.health[index].is_serving())
+    }
+
+    /// Records a coordinator event stamped with the current interval and time (a
+    /// no-op on an untraced fleet).
+    fn record(&mut self, event: Event) {
+        self.fleet_obs
+            .emit(self.intervals as u32, self.time_s, event);
     }
 
     /// Scores a candidate rack for online placement: fractional power headroom
@@ -504,516 +559,328 @@ impl ClusterSim {
     /// available core). The pool is created on the first parallel call and reused for
     /// every subsequent interval — per-interval scoped spawns cost thread creation
     /// hundreds of times per run. The result is byte-identical to [`Self::advance`]:
-    /// parallelism changes wall-clock time, never output.
+    /// parallelism changes wall-clock time, never output. The phases run in the order
+    /// the module docs list.
     pub fn advance_threads(&mut self, threads: usize) -> ClusterInterval {
-        let n = self.nodes.len();
-        let dt = self.scenario.decision_interval_s;
-        let racked = !self.topology.is_flat();
-
-        // 0. Fault injection: recover nodes whose outage/degradation expired, then
-        //    apply every fault scheduled for this interval (a zero-allocation cursor
-        //    walk over the pre-compiled schedule; see [`crate::faults`]). Runs before
-        //    anything else so placement, balancing, and the autoscaler all see this
-        //    interval's health.
-        if let Some(faults) = self.faults.as_mut() {
-            let interval = self.intervals as u64;
-            let obs_interval = self.intervals as u32;
-            // A rack outage lands as per-member crashes (compiled into the schedule),
-            // but the cause is a fleet-level event: record each power-domain failure
-            // the interval it strikes, before its member crashes are applied.
-            if self.fleet_obs.enabled() {
-                if let Some(profile) = &self.scenario.fault_profile {
-                    for outage in &profile.rack_outages {
-                        if outage.at_interval == interval {
-                            self.fleet_obs.emit(
-                                obs_interval,
-                                self.time_s,
-                                Event::RackOutage {
-                                    rack: outage.rack as u32,
-                                    nodes: self.topology.racks()[outage.rack].members.len() as u32,
-                                    duration_intervals: outage.duration_intervals as u32,
-                                },
-                            );
-                        }
-                    }
-                }
-            }
-            // Recoveries first, so a node can be struck again the interval it returns.
-            for (i, health) in faults.health.iter_mut().enumerate() {
-                match *health {
-                    NodeHealth::Down { until } if until <= interval => {
-                        *health = NodeHealth::Up;
-                        self.nodes[i]
-                            .as_mut()
-                            // pliant-lint: allow(panic-hygiene): slots are full here —
-                            // the pool hands every node back before a step returns.
-                            .expect("node slots are only empty while a step is in flight")
-                            // The autoscaler pass below re-parks it if it planned so.
-                            .set_parked(false);
-                        if self.fleet_obs.enabled() {
-                            self.fleet_obs.emit(
-                                obs_interval,
-                                self.time_s,
-                                Event::NodeRecovered { node: i as u32 },
-                            );
-                        }
-                    }
-                    NodeHealth::Degraded { until, .. } if until <= interval => {
-                        *health = NodeHealth::Up;
-                        self.nodes[i]
-                            .as_mut()
-                            // pliant-lint: allow(panic-hygiene): slots are full here —
-                            // the pool hands every node back before a step returns.
-                            .expect("node slots are only empty while a step is in flight")
-                            .set_degrade(1.0);
-                        if self.fleet_obs.enabled() {
-                            self.fleet_obs.emit(
-                                obs_interval,
-                                self.time_s,
-                                Event::NodeRecovered { node: i as u32 },
-                            );
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            // Apply the events scheduled for this interval. Events addressing a
-            // logical node with no exact instance (impossible by construction — the
-            // isolating planner carves every faulted node out) or a node that is not
-            // healthy (a crash cannot crash an already-down node) are dropped.
-            while faults.cursor < faults.schedule.len()
-                && faults.schedule[faults.cursor].interval == interval
-            {
-                let event = faults.schedule[faults.cursor];
-                faults.cursor += 1;
-                let Some(instance) = faults.instance_of[event.node] else {
-                    continue;
-                };
-                if faults.health[instance] != NodeHealth::Up {
-                    continue;
-                }
-                match event.kind {
-                    FaultKind::Crash => {
-                        faults.health[instance] = NodeHealth::Down {
-                            until: interval + event.duration,
-                        };
-                        faults.crashes += 1;
-                        if self.fleet_obs.enabled() {
-                            self.fleet_obs.emit(
-                                obs_interval,
-                                self.time_s,
-                                Event::NodeFailed {
-                                    node: instance as u32,
-                                    outage_intervals: event.duration as u32,
-                                },
-                            );
-                        }
-                        // Unfinished batch jobs die with the node; hand them back to
-                        // the scheduler queue. (The node's slots keep simulating the
-                        // abandoned work and free up when it would have finished —
-                        // the requeued copy may complete elsewhere first.)
-                        self.requeue_scratch.clear();
-                        self.nodes[instance]
-                            .as_mut()
-                            // pliant-lint: allow(panic-hygiene): slots are full here —
-                            // the pool hands every node back before a step returns.
-                            .expect("node slots are only empty while a step is in flight")
-                            .abort_unfinished_jobs(&mut self.requeue_scratch);
-                        for &(app, weight) in &self.requeue_scratch {
-                            self.scheduler.requeue(app, weight);
-                            faults.jobs_requeued += weight as u64;
-                            if self.fleet_obs.enabled() {
-                                let job_code = AppId::all()
-                                    .iter()
-                                    .position(|a| *a == app)
-                                    .map_or(u32::MAX, |p| p as u32);
-                                self.fleet_obs.emit(
-                                    obs_interval,
-                                    self.time_s,
-                                    Event::JobRequeued {
-                                        node: instance as u32,
-                                        job_code,
-                                        weight: weight as u32,
-                                    },
-                                );
-                            }
-                        }
-                    }
-                    FaultKind::Degrade { factor } => {
-                        faults.health[instance] = NodeHealth::Degraded {
-                            until: interval + event.duration,
-                            factor,
-                        };
-                        faults.degradations += 1;
-                        self.nodes[instance]
-                            .as_mut()
-                            // pliant-lint: allow(panic-hygiene): slots are full here —
-                            // the pool hands every node back before a step returns.
-                            .expect("node slots are only empty while a step is in flight")
-                            .set_degrade(factor);
-                        if self.fleet_obs.enabled() {
-                            self.fleet_obs.emit(
-                                obs_interval,
-                                self.time_s,
-                                Event::NodeDegraded {
-                                    node: instance as u32,
-                                    factor,
-                                    intervals: event.duration as u32,
-                                },
-                            );
-                        }
-                    }
-                }
-            }
-            // Replica-weighted availability accounting for the interval about to run.
-            for (i, health) in faults.health.iter().enumerate() {
-                match health {
-                    NodeHealth::Down { .. } => {
-                        faults.down_node_intervals += self.replica_weights[i] as u64;
-                    }
-                    NodeHealth::Degraded { .. } => {
-                        faults.degraded_node_intervals += self.replica_weights[i] as u64;
-                    }
-                    NodeHealth::Up => {}
-                }
-            }
-        }
-
-        // 1. Sample the fleet's load for this interval. The total scales with the
-        //    *logical* fleet: approximating with fewer instances must not shrink the
-        //    offered load (in exact mode the two counts coincide).
+        self.apply_faults();
+        // The total scales with the *logical* fleet: approximating with fewer
+        // instances must not shrink the offered load.
         let avg_offered_load = self.scenario.effective_load_profile().load_at(self.time_s);
         let total_offered_load = avg_offered_load * self.population.total_nodes() as f64;
+        self.autoscale(total_offered_load);
+        self.update_serving();
+        self.admit_racks();
+        self.consolidate();
+        let jobs_placed = self.place_jobs();
+        self.dispatch(total_offered_load);
+        let nodes = self.step_nodes(threads);
+        let active_nodes = self.active_nodes();
+        self.account(&nodes, total_offered_load, active_nodes, jobs_placed);
+        ClusterInterval {
+            time_s: self.time_s,
+            avg_offered_load,
+            total_offered_load,
+            active_nodes,
+            jobs_placed,
+            nodes,
+        }
+    }
 
-        // 1b. Size the active set for the interval: the autoscaler plans from the
-        //     previous interval's snapshots (park fully-drained nodes, then at most one
-        //     membership change), and parked nodes are switched to suspend billing
-        //     before they are stepped.
-        if let Some(scaler) = &mut self.autoscaler {
-            let mut snapshots = std::mem::take(&mut self.snapshot_scratch);
-            snapshots.clear();
-            snapshots.extend(self.nodes.iter().map(|s| Self::expect_node(s).snapshot()));
-            if self.fleet_obs.enabled() {
-                self.power_state_scratch.clear();
-                self.power_state_scratch.extend_from_slice(scaler.states());
+    /// Faults phase: recovers nodes whose outage or degradation expired, then applies
+    /// every fault scheduled for this interval (a zero-allocation cursor walk over the
+    /// pre-compiled schedule; see [`crate::faults`]), and books the interval's
+    /// replica-weighted availability. Runs first so every later phase sees this
+    /// interval's health.
+    fn apply_faults(&mut self) {
+        let Some(mut faults) = self.faults.take() else {
+            return;
+        };
+        let interval = self.intervals as u64;
+        // A rack outage lands as per-member crashes (compiled into the schedule), but
+        // the cause is a fleet-level event: record each power-domain failure the
+        // interval it strikes, before its member crashes are applied.
+        if let Some(profile) = &self.scenario.fault_profile {
+            for outage in profile
+                .rack_outages
+                .iter()
+                .filter(|o| o.at_interval == interval)
+            {
+                self.fleet_obs.emit(
+                    self.intervals as u32,
+                    self.time_s,
+                    Event::RackOutage {
+                        rack: outage.rack as u32,
+                        nodes: self.topology.racks()[outage.rack].members.len() as u32,
+                        duration_intervals: outage.duration_intervals as u32,
+                    },
+                );
             }
-            if self.clustered {
-                scaler.plan_grouped(total_offered_load, &snapshots, self.scenario.slots_per_node);
-            } else {
-                scaler.plan(total_offered_load, &snapshots, self.scenario.slots_per_node);
+        }
+        // Recoveries first, so a node can be struck again the interval it returns. A
+        // recovered node's park state is reset by the serve phase.
+        for i in 0..faults.health.len() {
+            let recovered = match faults.health[i] {
+                NodeHealth::Down { until } => until <= interval,
+                NodeHealth::Degraded { until, .. } if until <= interval => {
+                    self.node_mut(i).set_degrade(1.0);
+                    true
+                }
+                _ => false,
+            };
+            if recovered {
+                faults.health[i] = NodeHealth::Up;
+                self.record(Event::NodeRecovered { node: i as u32 });
             }
-            if self.fleet_obs.enabled() {
-                // Diff the plan's state changes into transition events. The trigger is
-                // recovered from the edge itself: reactivation = scale-out, a fresh
-                // drain = scale-in, draining → parked = the drain completing.
-                let interval = self.intervals as u32;
-                for (i, (&before, &after)) in self
-                    .power_state_scratch
-                    .iter()
-                    .zip(scaler.states())
-                    .enumerate()
-                {
-                    if before == after {
-                        continue;
+        }
+        // Apply the events scheduled for this interval. Events addressing a logical
+        // node with no exact instance (impossible by construction — the isolating
+        // planner carves every faulted node out) or a node that is not healthy (a
+        // crash cannot crash an already-down node) are dropped.
+        while faults.cursor < faults.schedule.len()
+            && faults.schedule[faults.cursor].interval == interval
+        {
+            let event = faults.schedule[faults.cursor];
+            faults.cursor += 1;
+            let Some(instance) = faults.instance_of[event.node] else {
+                continue;
+            };
+            if faults.health[instance] != NodeHealth::Up {
+                continue;
+            }
+            let until = interval + event.duration;
+            match event.kind {
+                FaultKind::Crash => {
+                    faults.health[instance] = NodeHealth::Down { until };
+                    faults.crashes += 1;
+                    self.record(Event::NodeFailed {
+                        node: instance as u32,
+                        outage_intervals: event.duration as u32,
+                    });
+                    // Unfinished batch jobs die with the node; hand them back to the
+                    // scheduler queue. (The node's slots keep simulating the abandoned
+                    // work and free up when it would have finished — the requeued copy
+                    // may complete elsewhere first.)
+                    let mut lost = std::mem::take(&mut self.requeue_scratch);
+                    lost.clear();
+                    self.node_mut(instance).abort_unfinished_jobs(&mut lost);
+                    for &(app, weight) in &lost {
+                        self.scheduler.requeue(app, weight);
+                        faults.jobs_requeued += weight as u64;
+                        self.record(Event::JobRequeued {
+                            node: instance as u32,
+                            job_code: job_code(app),
+                            weight: weight as u32,
+                        });
                     }
-                    let trigger = match after {
-                        NodePowerState::Active => ScaleTrigger::ScaleOut,
-                        NodePowerState::Draining => ScaleTrigger::ScaleIn,
-                        NodePowerState::Parked => ScaleTrigger::DrainComplete,
-                    };
-                    self.fleet_obs.emit(
-                        interval,
-                        self.time_s,
-                        Event::AutoscalerTransition {
-                            node: i as u32,
-                            from: power_state_kind(before),
-                            to: power_state_kind(after),
-                            trigger,
-                        },
-                    );
+                    self.requeue_scratch = lost;
                 }
-            }
-            self.snapshot_scratch = snapshots;
-            for (slot, state) in self.nodes.iter_mut().zip(scaler.states()) {
-                slot.as_mut()
-                    // pliant-lint: allow(panic-hygiene): slots are full here — the
-                    // pool hands every node back before the previous step returns.
-                    .expect("node slots are only empty while a step is in flight")
-                    .set_parked(*state == NodePowerState::Parked);
-            }
-        }
-
-        // 1c. Crashed nodes stay suspended no matter what the autoscaler planned: a
-        //     down node bills the parked draw until it recovers (the recovery pass
-        //     above un-parks it before this runs). Modelling simplification: an outage
-        //     is billed like a park, not as zero draw.
-        if let Some(faults) = &self.faults {
-            for (slot, health) in self.nodes.iter_mut().zip(&faults.health) {
-                if !health.is_serving() {
-                    slot.as_mut()
-                        // pliant-lint: allow(panic-hygiene): slots are full here — the
-                        // pool hands every node back before the previous step returns.
-                        .expect("node slots are only empty while a step is in flight")
-                        .set_parked(true);
+                FaultKind::Degrade { factor } => {
+                    faults.health[instance] = NodeHealth::Degraded { until, factor };
+                    faults.degradations += 1;
+                    self.node_mut(instance).set_degrade(factor);
+                    self.record(Event::NodeDegraded {
+                        node: instance as u32,
+                        factor,
+                        intervals: event.duration as u32,
+                    });
                 }
             }
         }
-
-        // 1d. Rack power admission: a rack whose measured draw reached its budget over
-        //     the previous interval admits no new work this interval — neither queue
-        //     placements nor migration arrivals. Flat fleets have a single unbudgeted
-        //     rack and skip the scan entirely.
-        if racked {
-            self.rack_admissible.clear();
-            for rack in 0..self.topology.rack_count() {
-                let admissible = self
-                    .topology
-                    .power_budget_w(rack)
-                    .is_none_or(|budget| self.rack_power_w[rack] < budget);
-                self.rack_admissible.push(admissible);
-                if !admissible && self.fleet_obs.enabled() {
-                    self.fleet_obs.emit(
-                        self.intervals as u32,
-                        self.time_s,
-                        Event::RackPowerCapped {
-                            rack: rack as u32,
-                            power_w: self.rack_power_w[rack],
-                            budget_w: self.topology.power_budget_w(rack).unwrap_or(0.0),
-                        },
-                    );
-                }
+        for (health, &weight) in faults.health.iter().zip(&self.replica_weights) {
+            match health {
+                NodeHealth::Down { .. } => faults.down_node_intervals += weight as u64,
+                NodeHealth::Degraded { .. } => faults.degraded_node_intervals += weight as u64,
+                NodeHealth::Up => {}
             }
         }
+        self.faults = Some(faults);
+    }
 
-        // 1e. Active consolidation: instead of waiting for a draining node's batch
-        //     jobs to run to completion, migrate their in-flight state onto active
-        //     nodes with free slots, then park every drain the migrations completed —
-        //     in the same interval, so the node bills the parked draw from here on and
-        //     the active-node trace never double-counts it. Deterministic by
-        //     construction: sources scan in instance order, each job lands on the
-        //     lowest-indexed admissible destination, and no RNG is drawn.
-        if self
+    /// Autoscale phase: plans the interval's active set from the previous interval's
+    /// snapshots (park fully-drained nodes, then at most one membership change) and,
+    /// on a traced fleet, diffs the plan into transition events.
+    fn autoscale(&mut self, total_offered_load: f64) {
+        let Some(scaler) = &mut self.autoscaler else {
+            return;
+        };
+        Self::fill_snapshots(&self.nodes, &mut self.snapshot_scratch);
+        let traced = self.fleet_obs.enabled();
+        if traced {
+            self.power_state_scratch.clear();
+            self.power_state_scratch.extend_from_slice(scaler.states());
+        }
+        scaler.plan_grouped(
+            total_offered_load,
+            &self.snapshot_scratch,
+            self.scenario.slots_per_node,
+        );
+        if !traced {
+            return;
+        }
+        // The trigger is recovered from the edge itself: reactivation = scale-out, a
+        // fresh drain = scale-in, draining → parked = the drain completing.
+        for (i, (&before, &after)) in self
+            .power_state_scratch
+            .iter()
+            .zip(scaler.states())
+            .enumerate()
+        {
+            if before == after {
+                continue;
+            }
+            let trigger = match after {
+                NodePowerState::Active => ScaleTrigger::ScaleOut,
+                NodePowerState::Draining => ScaleTrigger::ScaleIn,
+                NodePowerState::Parked => ScaleTrigger::DrainComplete,
+            };
+            self.fleet_obs.emit(
+                self.intervals as u32,
+                self.time_s,
+                Event::AutoscalerTransition {
+                    node: i as u32,
+                    from: power_state_kind(before),
+                    to: power_state_kind(after),
+                    trigger,
+                },
+            );
+        }
+    }
+
+    /// Serve phase: suspends every node the autoscaler parked or a crash took down,
+    /// and records the interval's serving mask (autoscaler-active and healthy). A down
+    /// node bills the parked draw until it recovers — a modelling simplification: an
+    /// outage is billed like a park, not as zero draw.
+    fn update_serving(&mut self) {
+        for i in 0..self.nodes.len() {
+            let state = self.power_state(i);
+            let healthy = self.healthy(i);
+            self.node_mut(i)
+                .set_parked(state == NodePowerState::Parked || !healthy);
+            self.serving[i] = state == NodePowerState::Active && healthy;
+        }
+    }
+
+    /// Rack admission phase: a rack whose measured draw reached its budget over the
+    /// previous interval admits no new work this interval — neither queue placements
+    /// nor migration arrivals. Flat fleets have a single unbudgeted rack and skip it.
+    fn admit_racks(&mut self) {
+        if self.topology.is_flat() {
+            return;
+        }
+        self.rack_admissible.clear();
+        for rack in 0..self.topology.rack_count() {
+            let budget = self.topology.power_budget_w(rack);
+            let power_w = self.rack_power_w[rack];
+            let admissible = budget.is_none_or(|budget| power_w < budget);
+            self.rack_admissible.push(admissible);
+            if !admissible {
+                self.record(Event::RackPowerCapped {
+                    rack: rack as u32,
+                    power_w,
+                    budget_w: budget.unwrap_or(0.0),
+                });
+            }
+        }
+    }
+
+    /// Consolidation phase: instead of waiting for a draining node's batch jobs to run
+    /// to completion, migrate their in-flight state onto serving nodes with free
+    /// slots, then park every drain the migrations completed — in the same interval,
+    /// so the node bills the parked draw from here on and the active-node trace never
+    /// double-counts it. Deterministic by construction: sources scan in instance
+    /// order, each job lands on the lowest-indexed admissible destination, and no RNG
+    /// is drawn.
+    fn consolidate(&mut self) {
+        if !self
             .autoscaler
             .as_ref()
             .is_some_and(|a| a.config().consolidate)
         {
-            let mut migrations = 0usize;
-            for src in 0..n {
-                let draining = self
-                    .autoscaler
-                    .as_ref()
-                    .is_some_and(|a| a.states()[src] == NodePowerState::Draining);
-                let serving = self
-                    .faults
-                    .as_ref()
-                    .is_none_or(|f| f.health[src].is_serving());
-                // A crashed drain has nothing live to move: the crash pass already
-                // aborted (and requeued) its unfinished jobs.
-                if !draining || !serving {
-                    continue;
-                }
-                loop {
-                    // Pick the destination *before* extracting: extraction latches the
-                    // source slot irreversibly, so a job must never leave its node
-                    // without a confirmed landing spot.
-                    let dst = (0..n).find(|&d| {
-                        d != src
-                            && self
-                                .autoscaler
-                                .as_ref()
-                                .is_some_and(|a| a.states()[d] == NodePowerState::Active)
-                            && self
-                                .faults
-                                .as_ref()
-                                .is_none_or(|f| f.health[d].is_serving())
-                            && (!racked || self.rack_admissible[self.instance_racks[d]])
-                            && Self::expect_node(&self.nodes[d]).free_slots() > 0
-                    });
-                    let Some(dst) = dst else { break };
-                    let Some((state, weight)) = self.nodes[src]
-                        .as_mut()
-                        // pliant-lint: allow(panic-hygiene): slots are full here — the
-                        // pool hands every node back before the previous step returns.
-                        .expect("node slots are only empty while a step is in flight")
-                        .extract_job()
-                    else {
-                        break;
-                    };
-                    let implanted = self.nodes[dst]
-                        .as_mut()
-                        // pliant-lint: allow(panic-hygiene): slots are full here — the
-                        // pool hands every node back before the previous step returns.
-                        .expect("node slots are only empty while a step is in flight")
-                        .implant_job(state, weight);
-                    assert!(
-                        implanted.is_some(),
-                        "destination advertised a free slot but refused the implant"
-                    );
-                    migrations += 1;
-                    if self.fleet_obs.enabled() {
-                        self.fleet_obs.emit(
-                            self.intervals as u32,
-                            self.time_s,
-                            Event::JobMigrated {
-                                node: src as u32,
-                                to_node: dst as u32,
-                                weight: weight as u32,
-                            },
-                        );
-                    }
-                }
+            return;
+        }
+        let n = self.nodes.len();
+        let racked = !self.topology.is_flat();
+        let mut migrations = 0usize;
+        for src in 0..n {
+            // A crashed drain has nothing live to move: the crash pass already aborted
+            // (and requeued) its unfinished jobs.
+            if self.power_state(src) != NodePowerState::Draining || !self.healthy(src) {
+                continue;
             }
-            if migrations > 0 {
-                if let Some(scaler) = &mut self.autoscaler {
-                    let mut snapshots = std::mem::take(&mut self.snapshot_scratch);
-                    snapshots.clear();
-                    snapshots.extend(self.nodes.iter().map(|s| Self::expect_node(s).snapshot()));
-                    let mut parked = std::mem::take(&mut self.park_scratch);
-                    parked.clear();
-                    scaler.park_fully_drained(
-                        &snapshots,
-                        self.scenario.slots_per_node,
-                        &mut parked,
-                    );
-                    for &i in &parked {
-                        self.nodes[i]
-                            .as_mut()
-                            // pliant-lint: allow(panic-hygiene): slots are full here —
-                            // the pool hands every node back before a step returns.
-                            .expect("node slots are only empty while a step is in flight")
-                            .set_parked(true);
-                        if self.fleet_obs.enabled() {
-                            self.fleet_obs.emit(
-                                self.intervals as u32,
-                                self.time_s,
-                                Event::AutoscalerTransition {
-                                    node: i as u32,
-                                    from: PowerStateKind::Draining,
-                                    to: PowerStateKind::Parked,
-                                    trigger: ScaleTrigger::DrainComplete,
-                                },
-                            );
-                        }
-                    }
-                    self.park_scratch = parked;
-                    self.snapshot_scratch = snapshots;
-                }
+            loop {
+                // Pick the destination *before* extracting: extraction latches the
+                // source slot irreversibly, so a job must never leave its node without
+                // a confirmed landing spot. A draining source is never serving, so it
+                // cannot be its own destination.
+                let dst = (0..n).find(|&d| {
+                    self.serving[d]
+                        && (!racked || self.rack_admissible[self.instance_racks[d]])
+                        && Self::expect_node(&self.nodes[d]).free_slots() > 0
+                });
+                let Some(dst) = dst else { break };
+                let Some((state, weight)) = self.node_mut(src).extract_job() else {
+                    break;
+                };
+                let implanted = self.node_mut(dst).implant_job(state, weight);
+                assert!(
+                    implanted.is_some(),
+                    "destination advertised a free slot but refused the implant"
+                );
+                migrations += 1;
+                self.record(Event::JobMigrated {
+                    node: src as u32,
+                    to_node: dst as u32,
+                    weight: weight as u32,
+                });
             }
         }
+        if migrations == 0 {
+            return;
+        }
+        Self::fill_snapshots(&self.nodes, &mut self.snapshot_scratch);
+        self.park_scratch.clear();
+        if let Some(scaler) = &mut self.autoscaler {
+            scaler.park_fully_drained(
+                &self.snapshot_scratch,
+                self.scenario.slots_per_node,
+                &mut self.park_scratch,
+            );
+        }
+        for k in 0..self.park_scratch.len() {
+            let i = self.park_scratch[k];
+            self.node_mut(i).set_parked(true);
+            self.record(Event::AutoscalerTransition {
+                node: i as u32,
+                from: PowerStateKind::Draining,
+                to: PowerStateKind::Parked,
+                trigger: ScaleTrigger::DrainComplete,
+            });
+        }
+    }
 
-        // 2. Place queued jobs into slots freed by the previous interval. Snapshots are
-        //    refreshed after every placement so one node does not soak up the whole
-        //    queue just because it was chosen first. Nodes outside the active set
-        //    (draining or parked) advertise zero free slots: the autoscaler is draining
-        //    them, so handing them fresh jobs would keep them from ever parking.
+    /// Placement phase: places queued jobs into slots freed by the previous interval,
+    /// returning the logical count placed. Snapshots are refreshed after every
+    /// placement so one node does not soak up the whole queue just because it was
+    /// chosen first. Nodes outside the serving mask advertise zero free slots: a
+    /// draining node handed fresh jobs would never park, and a crashed one cannot run
+    /// them.
+    fn place_jobs(&mut self) -> usize {
+        let racked = !self.topology.is_flat();
         let mut jobs_placed = 0usize;
         loop {
-            let mut snapshots = std::mem::take(&mut self.snapshot_scratch);
-            snapshots.clear();
-            snapshots.extend(self.nodes.iter().map(|s| Self::expect_node(s).snapshot()));
-            if let Some(scaler) = &self.autoscaler {
-                for (snap, state) in snapshots.iter_mut().zip(scaler.states()) {
-                    if *state != NodePowerState::Active {
-                        snap.free_slots = 0;
-                    }
+            Self::fill_snapshots(&self.nodes, &mut self.snapshot_scratch);
+            for (snap, &serving) in self.snapshot_scratch.iter_mut().zip(&self.serving) {
+                if !serving {
+                    snap.free_slots = 0;
                 }
             }
-            if let Some(faults) = &self.faults {
-                // Crashed nodes advertise no free slots: the scheduler must not hand
-                // fresh jobs to a node that cannot run them.
-                for (snap, health) in snapshots.iter_mut().zip(&faults.health) {
-                    if !health.is_serving() {
-                        snap.free_slots = 0;
-                    }
-                }
+            if racked && !self.confine_to_sampled_rack() {
+                break;
             }
-            if racked {
-                // Online rack placement: sample up to two admissible candidate racks
-                // with free capacity, score each by fractional power headroom plus
-                // mean QoS slack, and confine this placement to the winner (the
-                // power-aware sampling of Microsoft's online rack placement; the job
-                // queue itself is untouched). An empty queue or an empty candidate
-                // set ends the round *before* any sampling draw, so RNG consumption
-                // is a pure function of simulation state, never of tracing level.
-                if self.scheduler.pending() == 0 {
-                    self.snapshot_scratch = snapshots;
-                    break;
-                }
-                self.rack_candidates.clear();
-                for rack in 0..self.topology.rack_count() {
-                    let has_free = snapshots
-                        .iter()
-                        .any(|s| self.instance_racks[s.index] == rack && s.free_slots > 0);
-                    if self.rack_admissible[rack] && has_free {
-                        self.rack_candidates.push(rack);
-                    }
-                }
-                if self.rack_candidates.is_empty() {
-                    self.snapshot_scratch = snapshots;
-                    break;
-                }
-                let k = self.rack_candidates.len();
-                let (first, second) = if k == 1 {
-                    (0, 0)
-                } else {
-                    let rng = self
-                        .rack_rng
-                        .as_mut()
-                        // pliant-lint: allow(panic-hygiene): racked fleets always
-                        // construct the sampling stream; see `with_obs`.
-                        .expect("racked fleets carry a rack-sampling stream");
-                    let first = rng.gen_range(0..k);
-                    let mut second = rng.gen_range(0..k - 1);
-                    if second >= first {
-                        second += 1;
-                    }
-                    (first, second)
-                };
-                let mut winner = self.rack_candidates[first];
-                let mut best = self.rack_score(winner, &snapshots);
-                if second != first {
-                    let other = self.rack_candidates[second];
-                    let score = self.rack_score(other, &snapshots);
-                    match score.0.total_cmp(&best.0) {
-                        std::cmp::Ordering::Greater => {
-                            winner = other;
-                            best = score;
-                        }
-                        std::cmp::Ordering::Equal if other < winner => {
-                            winner = other;
-                            best = score;
-                        }
-                        _ => {}
-                    }
-                }
-                if self.fleet_obs.enabled() {
-                    self.fleet_obs.emit(
-                        self.intervals as u32,
-                        self.time_s,
-                        Event::RackPlacement {
-                            rack: winner as u32,
-                            candidates: if k == 1 { 1 } else { 2 },
-                            power_headroom_w: best.1,
-                            qos_slack: best.2,
-                        },
-                    );
-                }
-                for snap in snapshots.iter_mut() {
-                    if self.instance_racks[snap.index] != winner {
-                        snap.free_slots = 0;
-                    }
-                }
-            }
-            let placement = if self.clustered {
-                self.scheduler
-                    .pop_placement_grouped(&snapshots, &self.replica_weights)
-            } else {
-                self.scheduler
-                    .pop_placement(&snapshots)
-                    .map(|(node, app)| (node, app, 1))
-            };
-            self.snapshot_scratch = snapshots;
-            let Some((node, app, weight)) = placement else {
+            let Some((node, app, weight)) = self
+                .scheduler
+                .pop_placement_grouped(&self.snapshot_scratch, &self.replica_weights)
+            else {
                 break;
             };
             let profile = self
@@ -1021,155 +888,131 @@ impl ClusterSim {
                 .profile(app)
                 .unwrap_or_else(|| panic!("{app} missing from catalog"))
                 .clone();
-            self.nodes[node]
-                .as_mut()
-                // pliant-lint: allow(panic-hygiene): slots are full here — the pool
-                // hands every node back before the previous step returns.
-                .expect("node slots are only empty while a step is in flight")
+            self.node_mut(node)
                 .place_job_weighted(&profile, weight)
                 // pliant-lint: allow(panic-hygiene): the scheduler chose this node
                 // from snapshots with `free_slots > 0` taken this same interval.
                 .expect("scheduler only places onto nodes with free slots");
             jobs_placed += weight;
-            if self.fleet_obs.enabled() {
-                let job_code = AppId::all()
-                    .iter()
-                    .position(|a| *a == app)
-                    .map_or(u32::MAX, |p| p as u32);
-                self.fleet_obs.emit(
-                    self.intervals as u32,
-                    self.time_s,
-                    Event::JobPlaced {
-                        node: node as u32,
-                        job_code,
-                        weight: weight as u32,
-                    },
-                );
+            self.record(Event::JobPlaced {
+                node: node as u32,
+                job_code: job_code(app),
+                weight: weight as u32,
+            });
+        }
+        jobs_placed
+    }
+
+    /// Online rack placement for one job: samples up to two admissible candidate racks
+    /// with free capacity, scores each by fractional power headroom plus mean QoS
+    /// slack, and confines the placement to the winner by zeroing every other rack's
+    /// free slots in the snapshot scratch (the power-aware sampling of Microsoft's
+    /// online rack placement; the job queue itself is untouched). Returns `false`,
+    /// ending the placement round, when the queue or the candidate set is empty —
+    /// *before* any sampling draw, so RNG consumption is a pure function of
+    /// simulation state, never of tracing level.
+    fn confine_to_sampled_rack(&mut self) -> bool {
+        if self.scheduler.pending() == 0 {
+            return false;
+        }
+        self.rack_candidates.clear();
+        for rack in 0..self.topology.rack_count() {
+            let has_free = self
+                .snapshot_scratch
+                .iter()
+                .any(|s| self.instance_racks[s.index] == rack && s.free_slots > 0);
+            if self.rack_admissible[rack] && has_free {
+                self.rack_candidates.push(rack);
             }
         }
-
-        // 3. Split the offered load across the serving nodes. The clustered path hands
-        //    out *per-replica* loads over the weighted instances through reused scratch
-        //    buffers; the exact path keeps the historical allocating calls verbatim so
-        //    its output stays byte-identical.
-        let mut snapshots = std::mem::take(&mut self.snapshot_scratch);
-        snapshots.clear();
-        snapshots.extend(self.nodes.iter().map(|s| Self::expect_node(s).snapshot()));
-        let (assigned, active_nodes) = if self.clustered {
-            let mut active = std::mem::take(&mut self.active_scratch);
-            active.clear();
-            match &self.autoscaler {
-                Some(scaler) => {
-                    active.extend(scaler.states().iter().map(|s| *s == NodePowerState::Active));
-                }
-                None => active.resize(n, true),
-            }
-            if let Some(faults) = &self.faults {
-                // The balancer sheds dead nodes: traffic is split over the serving
-                // set only (health ANDed into the autoscaler's active set).
-                for (flag, health) in active.iter_mut().zip(&faults.health) {
-                    if !health.is_serving() {
-                        *flag = false;
-                    }
-                }
-            }
-            let mut out = std::mem::take(&mut self.assigned_scratch);
-            self.balancer.split_grouped(
-                total_offered_load,
-                &snapshots,
-                &self.replica_weights,
-                &active,
-                &mut out,
-            );
-            let serving = if self.faults.is_some() {
-                active
-                    .iter()
-                    .zip(&self.replica_weights)
-                    .filter(|(flag, _)| **flag)
-                    .map(|(_, &weight)| weight)
-                    .sum()
-            } else {
-                self.autoscaler
-                    .as_ref()
-                    .map_or(self.population.total_nodes(), |a| a.active_replicas())
-            };
-            self.active_scratch = active;
-            (out, serving)
-        } else if let Some(faults) = &self.faults {
-            // Fault-aware exact path: always split over an explicit serving mask
-            // (health ANDed into the autoscaler's active set when one is configured).
-            let mut active = std::mem::take(&mut self.active_scratch);
-            active.clear();
-            match &self.autoscaler {
-                Some(scaler) => {
-                    active.extend(scaler.states().iter().map(|s| *s == NodePowerState::Active));
-                }
-                None => active.resize(n, true),
-            }
-            for (flag, health) in active.iter_mut().zip(&faults.health) {
-                if !health.is_serving() {
-                    *flag = false;
-                }
-            }
-            let serving = active.iter().filter(|&&flag| flag).count();
-            let split = self
-                .balancer
-                .split_active(total_offered_load, &snapshots, &active);
-            self.active_scratch = active;
-            (split, serving)
+        let k = self.rack_candidates.len();
+        if k == 0 {
+            return false;
+        }
+        let (first, second) = if k == 1 {
+            (0, 0)
         } else {
-            match &mut self.autoscaler {
-                Some(scaler) => {
-                    let active: Vec<bool> = scaler
-                        .states()
-                        .iter()
-                        .map(|s| *s == NodePowerState::Active)
-                        .collect();
-                    (
-                        self.balancer
-                            .split_active(total_offered_load, &snapshots, &active),
-                        scaler.active_count(),
-                    )
-                }
-                None => (self.balancer.split(total_offered_load, &snapshots), n),
+            let rng = self
+                .rack_rng
+                .as_mut()
+                // pliant-lint: allow(panic-hygiene): racked fleets always construct
+                // the sampling stream; see `with_obs`.
+                .expect("racked fleets carry a rack-sampling stream");
+            let first = rng.gen_range(0..k);
+            let mut second = rng.gen_range(0..k - 1);
+            if second >= first {
+                second += 1;
             }
+            (first, second)
         };
-        self.snapshot_scratch = snapshots;
-
-        if self.fleet_obs.enabled() && total_offered_load > 0.0 {
-            // Dispatch audit: at Full level every routed assignment is recorded; at
-            // Decisions level only sheds are (an active node squeezed out of the
-            // rotation is a balancer decision worth auditing, per-node routing isn't).
-            let interval = self.intervals as u32;
-            for (i, &load) in assigned.iter().enumerate() {
-                let active = self
-                    .autoscaler
-                    .as_ref()
-                    .is_none_or(|a| a.states()[i] == NodePowerState::Active)
-                    && self
-                        .faults
-                        .as_ref()
-                        .is_none_or(|f| f.health[i].is_serving());
-                if load > 0.0 {
-                    self.fleet_obs.emit(
-                        interval,
-                        self.time_s,
-                        Event::BalancerDispatch {
-                            node: i as u32,
-                            assigned_load: load,
-                        },
-                    );
-                } else if active {
-                    self.fleet_obs.emit(
-                        interval,
-                        self.time_s,
-                        Event::BalancerShed { node: i as u32 },
-                    );
+        let mut winner = self.rack_candidates[first];
+        let mut best = self.rack_score(winner, &self.snapshot_scratch);
+        if second != first {
+            let other = self.rack_candidates[second];
+            let score = self.rack_score(other, &self.snapshot_scratch);
+            match score.0.total_cmp(&best.0) {
+                std::cmp::Ordering::Greater => {
+                    winner = other;
+                    best = score;
                 }
+                std::cmp::Ordering::Equal if other < winner => {
+                    winner = other;
+                    best = score;
+                }
+                _ => {}
             }
         }
+        self.record(Event::RackPlacement {
+            rack: winner as u32,
+            candidates: if k == 1 { 1 } else { 2 },
+            power_headroom_w: best.1,
+            qos_slack: best.2,
+        });
+        for snap in self.snapshot_scratch.iter_mut() {
+            if self.instance_racks[snap.index] != winner {
+                snap.free_slots = 0;
+            }
+        }
+        true
+    }
 
-        // 4. Advance every node independently.
+    /// Dispatch phase: splits the offered load over the serving mask into
+    /// per-replica loads (`assigned_scratch`), then audits the split on a traced
+    /// fleet — at Full level every routed assignment is recorded; at Decisions level
+    /// only sheds are (a serving node squeezed out of the rotation is a balancer
+    /// decision worth auditing, per-node routing isn't).
+    fn dispatch(&mut self, total_offered_load: f64) {
+        Self::fill_snapshots(&self.nodes, &mut self.snapshot_scratch);
+        self.balancer.split_grouped(
+            total_offered_load,
+            &self.snapshot_scratch,
+            &self.replica_weights,
+            &self.serving,
+            &mut self.assigned_scratch,
+        );
+        if !self.fleet_obs.enabled() || total_offered_load <= 0.0 {
+            return;
+        }
+        for (i, &load) in self.assigned_scratch.iter().enumerate() {
+            let event = if load > 0.0 {
+                Event::BalancerDispatch {
+                    node: i as u32,
+                    assigned_load: load,
+                }
+            } else if self.serving[i] {
+                Event::BalancerShed { node: i as u32 }
+            } else {
+                continue;
+            };
+            self.fleet_obs
+                .emit(self.intervals as u32, self.time_s, event);
+        }
+    }
+
+    /// Step phase: advances every node on its assigned load, on the calling thread or
+    /// through the persistent worker pool, returning the results in instance order.
+    fn step_nodes(&mut self, threads: usize) -> Vec<NodeInterval> {
+        let n = self.nodes.len();
         let workers = if threads == 0 {
             std::thread::available_parallelism()
                 .map(|p| p.get())
@@ -1178,63 +1021,63 @@ impl ClusterSim {
             threads
         }
         .clamp(1, n);
-        let node_intervals: Vec<NodeInterval> = if workers == 1 {
-            self.nodes
-                .iter_mut()
-                .zip(&assigned)
-                .map(|(slot, &load)| {
-                    slot.as_mut()
-                        // pliant-lint: allow(panic-hygiene): single-worker path never
-                        // vacates slots; they are full on entry to every step.
-                        .expect("node slots are only empty while a step is in flight")
-                        .step(load)
+        if workers == 1 {
+            return (0..n)
+                .map(|i| {
+                    let load = self.assigned_scratch[i];
+                    self.node_mut(i).step(load)
                 })
-                .collect()
-        } else {
-            // Lazily create (or resize) the persistent pool, then ship each node to its
-            // sticky worker and stitch the results back in node order.
-            if self
-                .pool
-                .as_ref()
-                .is_none_or(|p| p.worker_count() != workers)
-            {
-                self.pool = Some(NodeWorkerPool::sized_for(workers, n));
-            }
-            // pliant-lint: allow(panic-hygiene): assigned Some() two lines up.
-            let pool = self.pool.as_ref().expect("pool was just ensured");
-            let mut results = std::mem::take(&mut self.result_scratch);
-            pool.step_all(&mut self.nodes, &assigned, &mut results);
-            let intervals = results
-                .iter_mut()
-                // pliant-lint: allow(panic-hygiene): step_all resizes `results` to one
-                // entry per node and fills each, or re-raises the worker panic.
-                .map(|r| r.take().expect("step_all fills every slot or panics"))
                 .collect();
-            self.result_scratch = results;
-            intervals
-        };
+        }
+        // Lazily create (or resize) the persistent pool, then ship each node to its
+        // sticky worker and stitch the results back in node order.
+        if self
+            .pool
+            .as_ref()
+            .is_none_or(|p| p.worker_count() != workers)
+        {
+            self.pool = Some(NodeWorkerPool::sized_for(workers, n));
+        }
+        // pliant-lint: allow(panic-hygiene): assigned Some() two lines up.
+        let pool = self.pool.as_ref().expect("pool was just ensured");
+        pool.step_all(
+            &mut self.nodes,
+            &self.assigned_scratch,
+            &mut self.result_scratch,
+        );
+        self.result_scratch
+            .iter_mut()
+            // pliant-lint: allow(panic-hygiene): step_all resizes the results to one
+            // entry per node and fills each, or re-raises the worker panic.
+            .map(|r| r.take().expect("step_all fills every slot or panics"))
+            .collect()
+    }
 
+    /// Account phase: books the interval's job completions, measures each rack's draw
+    /// (the next interval's admission phase compares it against the rack budget),
+    /// advances the clock, and records the interval rollup.
+    fn account(
+        &mut self,
+        node_intervals: &[NodeInterval],
+        total_offered_load: f64,
+        active_nodes: usize,
+        jobs_placed: usize,
+    ) {
         let completions: usize = node_intervals.iter().map(|ni| ni.jobs_completed).sum();
         self.scheduler.record_completions(completions);
-        // Measure each rack's draw over the interval just stepped; the admission scan
-        // at the top of the next interval compares it against the rack budget.
-        if racked {
-            for power in self.rack_power_w.iter_mut() {
-                *power = 0.0;
-            }
-            for ni in &node_intervals {
+        let dt = self.scenario.decision_interval_s;
+        if !self.topology.is_flat() {
+            self.rack_power_w.fill(0.0);
+            for ni in node_intervals {
                 self.rack_power_w[self.instance_racks[ni.node]] +=
                     ni.observation.energy_j * ni.replicas as f64 / dt;
             }
-        }
-        if self.clustered {
-            self.assigned_scratch = assigned;
         }
         self.time_s += dt;
         if self.fleet_obs.enabled() {
             let mut busy = 0usize;
             let mut violating = 0usize;
-            for ni in &node_intervals {
+            for ni in node_intervals {
                 if ni.observation.arrivals > 0 {
                     busy += ni.replicas;
                     if ni.observation.qos_violated() {
@@ -1242,28 +1085,15 @@ impl ClusterSim {
                     }
                 }
             }
-            self.fleet_obs.emit(
-                self.intervals as u32,
-                self.time_s,
-                Event::IntervalSummary {
-                    active_nodes: active_nodes as u32,
-                    total_load: total_offered_load,
-                    busy: busy as u32,
-                    violating: violating as u32,
-                    jobs_placed: jobs_placed as u32,
-                },
-            );
+            self.record(Event::IntervalSummary {
+                active_nodes: active_nodes as u32,
+                total_load: total_offered_load,
+                busy: busy as u32,
+                violating: violating as u32,
+                jobs_placed: jobs_placed as u32,
+            });
         }
         self.intervals += 1;
-
-        ClusterInterval {
-            time_s: self.time_s,
-            avg_offered_load,
-            total_offered_load,
-            active_nodes,
-            jobs_placed,
-            nodes: node_intervals,
-        }
     }
 
     /// Captures the full mutable state of the fleet between intervals: every node's
@@ -1390,21 +1220,15 @@ impl ClusterSim {
             checkpoint.scheduler_queue.clone(),
             checkpoint.scheduler_stats,
         );
-        for (index, (slot, node_checkpoint)) in self
-            .nodes
-            .iter_mut()
-            .zip(&checkpoint.node_checkpoints)
-            .enumerate()
-        {
-            slot.as_mut()
-                // pliant-lint: allow(panic-hygiene): slots are full between intervals;
-                // checkpoints are only restored outside of advance calls.
-                .expect("node slots are only empty while a step is in flight")
+        for (index, node_checkpoint) in checkpoint.node_checkpoints.iter().enumerate() {
+            self.node_mut(index)
                 .restore(node_checkpoint)
                 .map_err(|e| format!("node {index}: {e}"))?;
         }
         self.time_s = checkpoint.time_s;
         self.intervals = checkpoint.intervals;
+        // The serving mask is derived from the restored autoscaler and fault state.
+        self.update_serving();
         Ok(())
     }
 }

@@ -66,10 +66,16 @@ impl LintConfig {
                 "MetricsRegistry::record",
                 // The fault-injection per-interval path (PR 9): node-health masking
                 // runs for every instance of every interval whenever a fleet carries
-                // a fault profile, and the fault-aware balancer split sits on the
-                // same dispatch path as split/split_grouped above.
+                // a fault profile.
                 "NodeHealth::is_serving",
-                "LoadBalancer::split_active",
+                // The fleet loop's per-interval phases that reuse scratch buffers:
+                // the serving mask, consolidation, placement (with its rack sampling
+                // step), and the balancer dispatch with its trace audit.
+                "ClusterSim::update_serving",
+                "ClusterSim::consolidate",
+                "ClusterSim::place_jobs",
+                "ClusterSim::confine_to_sampled_rack",
+                "ClusterSim::dispatch",
                 // The topology placement/migration path (PR 10): rack scoring runs at
                 // every placement decision, the extract/implant pair moves in-flight
                 // batch state between nodes on the consolidation pass, and the drain

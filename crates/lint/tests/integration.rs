@@ -133,7 +133,7 @@ fn fault_and_checkpoint_modules_stay_in_the_determinism_scopes() {
             render(&findings)
         );
     }
-    for hot in ["NodeHealth::is_serving", "LoadBalancer::split_active"] {
+    for hot in ["NodeHealth::is_serving", "LoadBalancer::split_grouped"] {
         assert!(
             cfg.hot_path_fns.iter().any(|f| f == hot),
             "{hot} must stay on the hot-path-alloc denylist"

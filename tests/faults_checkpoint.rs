@@ -183,6 +183,26 @@ fn faulted_runs_are_deterministic_across_execution_modes() {
 }
 
 #[test]
+fn active_nodes_excludes_crashed_nodes_on_every_interval() {
+    // `ClusterSim::active_nodes` between intervals must report the serving count the
+    // interval just advanced ran with — a down node is not serving.
+    let scenario = failure_scenario(5, PolicyKind::Pliant);
+    let mut sim = ClusterSim::new(&scenario, &Catalog::default());
+    let mut saw_outage = false;
+    while sim.intervals() < scenario.max_intervals() {
+        let interval = sim.advance();
+        saw_outage |= interval.active_nodes < scenario.nodes;
+        assert_eq!(
+            sim.active_nodes(),
+            interval.active_nodes,
+            "interval {}: the fleet's serving count disagrees with its interval record",
+            sim.intervals() - 1
+        );
+    }
+    assert!(saw_outage, "the failure trace must take a node down");
+}
+
+#[test]
 fn pliant_never_violates_more_intervals_than_precise_under_the_failure_trace() {
     // The fig_failure headline, pinned: at every swept fleet size both policies see
     // the identical fault schedule under common random numbers, and Pliant's

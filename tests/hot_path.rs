@@ -230,3 +230,96 @@ fn obs_emit_is_allocation_free_when_off_and_when_saturated() {
         "counter recording must never allocate"
     );
 }
+
+// ---------------------------------------------------------------------------
+// 4. The fleet coordinator's per-interval decisions: once their output buffers are
+//    warm, the balancer split, the autoscaler plan, and a placement drain allocate
+//    nothing — on unit weights (an exact fleet) and with part of the fleet masked out.
+// ---------------------------------------------------------------------------
+
+use pliant::cluster::{Autoscaler, AutoscalerAction, BatchScheduler, NodeSnapshot};
+
+fn fleet_snapshots(n: usize, free_slots: usize) -> Vec<NodeSnapshot> {
+    (0..n)
+        .map(|i| NodeSnapshot {
+            index: i,
+            smoothed_p99_s: 0.004 + 0.002 * i as f64,
+            utilization: 0.3 + 0.05 * i as f64,
+            free_slots,
+            qos_target_s: 0.01,
+        })
+        .collect()
+}
+
+#[test]
+fn fleet_decisions_are_allocation_free_once_warm() {
+    let n = 8;
+    let snapshots = fleet_snapshots(n, 1);
+    let unit = vec![1usize; n];
+    let mask: Vec<bool> = (0..n).map(|i| i % 3 != 1).collect();
+
+    for kind in BalancerKind::all() {
+        let mut balancer = kind.build(n, 5);
+        let mut out = Vec::new();
+        balancer.split_grouped(6.0, &snapshots, &unit, &mask, &mut out);
+        assert_eq!(
+            allocations_during(|| {
+                for _ in 0..100 {
+                    balancer.split_grouped(6.0, &snapshots, &unit, &mask, &mut out);
+                }
+            }),
+            0,
+            "{kind}: a warm split must reuse its output buffer"
+        );
+        assert!(out
+            .iter()
+            .zip(&mask)
+            .all(|(load, serving)| *serving || *load == 0.0));
+    }
+
+    // Alternate a light and an overloading load over a fleet with latency headroom,
+    // so the planner drains, parks, and scales back out inside the measured window.
+    let healthy: Vec<NodeSnapshot> = snapshots
+        .iter()
+        .map(|s| NodeSnapshot {
+            smoothed_p99_s: 0.005,
+            ..*s
+        })
+        .collect();
+    let mut scaler = Autoscaler::for_instances(AutoscalerConfig::default(), unit.clone());
+    let mut membership_changes = 0;
+    assert_eq!(
+        allocations_during(|| {
+            for t in 0..100 {
+                let load = if t % 20 < 10 { 2.0 } else { 6.5 };
+                if scaler.plan_grouped(load, &healthy, 1) != AutoscalerAction::Hold {
+                    membership_changes += 1;
+                }
+            }
+        }),
+        0,
+        "autoscaler planning must not allocate"
+    );
+    assert!(
+        membership_changes > 0,
+        "the load trace must move the active set"
+    );
+
+    let mut scheduler =
+        BatchScheduler::new(SchedulerKind::QosSlackAware, vec![AppId::Canneal; 64], 0);
+    let mut free = fleet_snapshots(n, 8);
+    assert_eq!(
+        allocations_during(|| {
+            while let Some((node, _, _)) = scheduler.pop_placement_grouped(&free, &unit) {
+                free[node].free_slots -= 1;
+            }
+        }),
+        0,
+        "draining the job queue must not allocate"
+    );
+    assert_eq!(
+        scheduler.pending(),
+        0,
+        "eight nodes × eight slots take the whole queue"
+    );
+}
