@@ -96,10 +96,10 @@ pub struct ClusterSim {
     catalog: Catalog,
     /// The logical fleet the instances below stand for.
     population: NodePopulation,
-    /// Simulated instances; a slot is `None` only transiently while its node is out on
-    /// a worker thread (or permanently after that worker panicked mid-step, in which
-    /// case the panic has already been re-raised and the simulator is poisoned).
-    nodes: Vec<Option<ClusterNode>>,
+    /// Simulated instances, in instance order. During a parallel step the tail chunks
+    /// are out on pool workers and the vector holds only the caller's chunk; every
+    /// node is back, in order, before the step returns (see [`NodeWorkerPool`]).
+    nodes: Vec<ClusterNode>,
     /// Logical nodes each instance stands for (all ones in exact mode).
     replica_weights: Vec<usize>,
     balancer: LoadBalancer,
@@ -116,12 +116,10 @@ pub struct ClusterSim {
     time_s: f64,
     intervals: usize,
     /// Persistent worker pool for parallel node updates, created on first parallel
-    /// advance and kept for the simulator's lifetime (see [`NodeWorkerPool`]).
+    /// advance and kept until the chunk count changes (see [`NodeWorkerPool`]).
     pool: Option<NodeWorkerPool>,
     /// Scratch buffer of node snapshots, reused across placement/balancing rounds.
     snapshot_scratch: Vec<NodeSnapshot>,
-    /// Scratch buffer of pooled step results, reused across intervals.
-    result_scratch: Vec<Option<NodeInterval>>,
     /// Per-instance, per-replica load assignments of the current interval, reused
     /// across intervals.
     assigned_scratch: Vec<f64>,
@@ -229,7 +227,7 @@ impl ClusterSim {
         };
         // In exact mode the plans are one weight-1 instance per logical node in node
         // order, so this loop builds the nodes in fleet order.
-        let nodes: Vec<Option<ClusterNode>> = plans
+        let nodes: Vec<ClusterNode> = plans
             .iter()
             .enumerate()
             .map(|(i, plan)| {
@@ -246,12 +244,12 @@ impl ClusterSim {
                 if level != ObsLevel::Off {
                     node.enable_obs(level);
                 }
-                Some(node)
+                node
             })
             .collect();
         let mut fleet_obs = ObsBuffer::new(level, 0, 1, DEFAULT_FLEET_CAPACITY);
         if fleet_obs.enabled() {
-            let qos_target_s = nodes[0].as_ref().map_or(0.0, |n| n.snapshot().qos_target_s);
+            let qos_target_s = nodes.first().map_or(0.0, |n| n.snapshot().qos_target_s);
             fleet_obs.emit(
                 0,
                 0.0,
@@ -323,7 +321,6 @@ impl ClusterSim {
             intervals: 0,
             pool: None,
             snapshot_scratch: Vec::new(),
-            result_scratch: Vec::new(),
             assigned_scratch: Vec::new(),
             requeue_scratch: Vec::new(),
             fleet_obs,
@@ -356,8 +353,8 @@ impl ClusterSim {
     pub fn take_event_log(&mut self) -> EventLog {
         let level = self.fleet_obs.level();
         let fleet = std::mem::replace(&mut self.fleet_obs, ObsBuffer::disabled());
-        let buffers = std::iter::once(fleet)
-            .chain((0..self.nodes.len()).map(|i| self.node_mut(i).take_obs_buffer()));
+        let buffers =
+            std::iter::once(fleet).chain(self.nodes.iter_mut().map(ClusterNode::take_obs_buffer));
         EventLog::merge(level, buffers)
     }
 
@@ -445,15 +442,12 @@ impl ClusterSim {
 
     /// The current snapshots of every instance, in instance order.
     pub fn snapshots(&self) -> Vec<NodeSnapshot> {
-        self.nodes
-            .iter()
-            .map(|n| Self::expect_node(n).snapshot())
-            .collect()
+        self.nodes.iter().map(ClusterNode::snapshot).collect()
     }
 
     /// Immutable access to instance `index`.
     pub fn node(&self, index: usize) -> &ClusterNode {
-        Self::expect_node(&self.nodes[index])
+        &self.nodes[index]
     }
 
     /// Inaccuracies of every job completed on node `index` so far, in percent.
@@ -461,27 +455,11 @@ impl ClusterSim {
         self.node(index).completed_inaccuracy_pct()
     }
 
-    fn expect_node(slot: &Option<ClusterNode>) -> &ClusterNode {
-        slot.as_ref()
-            // pliant-lint: allow(panic-hygiene): the worker pool refills every slot
-            // before step() returns; observers never run while a step is in flight.
-            .expect("node slots are only empty while a step is in flight")
-    }
-
-    /// Mutable access to instance `index` between node steps.
-    fn node_mut(&mut self, index: usize) -> &mut ClusterNode {
-        self.nodes[index]
-            .as_mut()
-            // pliant-lint: allow(panic-hygiene): slots are full between node steps —
-            // the pool hands every node back before a step returns.
-            .expect("node slots are only empty while a step is in flight")
-    }
-
     /// Refills `out` with every instance's current snapshot, in instance order (an
     /// associated function so callers can borrow other fields alongside).
-    fn fill_snapshots(nodes: &[Option<ClusterNode>], out: &mut Vec<NodeSnapshot>) {
+    fn fill_snapshots(nodes: &[ClusterNode], out: &mut Vec<NodeSnapshot>) {
         out.clear();
-        out.extend(nodes.iter().map(|n| Self::expect_node(n).snapshot()));
+        out.extend(nodes.iter().map(ClusterNode::snapshot));
     }
 
     /// Instance `index`'s autoscaler power state (`Active` without an autoscaler).
@@ -548,19 +526,19 @@ impl ClusterSim {
     /// the interval (archival, external analysis) simply never recycle it.
     pub fn recycle_interval(&mut self, interval: ClusterInterval) {
         for node_interval in interval.nodes {
-            if let Some(node) = self.nodes[node_interval.node].as_mut() {
-                node.recycle_observation(node_interval.observation);
-            }
+            self.nodes[node_interval.node].recycle_observation(node_interval.observation);
         }
     }
 
-    /// Advances the fleet one decision interval, fanning the independent node updates
-    /// out over a persistent pool of up to `threads` worker threads (`0` = one per
-    /// available core). The pool is created on the first parallel call and reused for
-    /// every subsequent interval — per-interval scoped spawns cost thread creation
-    /// hundreds of times per run. The result is byte-identical to [`Self::advance`]:
-    /// parallelism changes wall-clock time, never output. The phases run in the order
-    /// the module docs list.
+    /// Advances the fleet one decision interval, stepping the independent nodes on up
+    /// to `threads` threads (`0` = one per available core, capped at one per
+    /// instance). The instances are split into contiguous chunks of
+    /// `instances.div_ceil(threads)`: the calling thread steps the first, and each
+    /// other chunk goes as one batch to a worker of a persistent pool. The pool is
+    /// created on the first parallel call and reused until the chunk count changes —
+    /// per-interval scoped spawns cost thread creation hundreds of times per run. The
+    /// result is byte-identical to [`Self::advance`]: parallelism changes wall-clock
+    /// time, never output. The phases run in the order the module docs list.
     pub fn advance_threads(&mut self, threads: usize) -> ClusterInterval {
         self.apply_faults();
         // The total scales with the *logical* fleet: approximating with fewer
@@ -622,7 +600,7 @@ impl ClusterSim {
             let recovered = match faults.health[i] {
                 NodeHealth::Down { until } => until <= interval,
                 NodeHealth::Degraded { until, .. } if until <= interval => {
-                    self.node_mut(i).set_degrade(1.0);
+                    self.nodes[i].set_degrade(1.0);
                     true
                 }
                 _ => false,
@@ -662,7 +640,7 @@ impl ClusterSim {
                     // may complete elsewhere first.)
                     let mut lost = std::mem::take(&mut self.requeue_scratch);
                     lost.clear();
-                    self.node_mut(instance).abort_unfinished_jobs(&mut lost);
+                    self.nodes[instance].abort_unfinished_jobs(&mut lost);
                     for &(app, weight) in &lost {
                         self.scheduler.requeue(app, weight);
                         faults.jobs_requeued += weight as u64;
@@ -677,7 +655,7 @@ impl ClusterSim {
                 FaultKind::Degrade { factor } => {
                     faults.health[instance] = NodeHealth::Degraded { until, factor };
                     faults.degradations += 1;
-                    self.node_mut(instance).set_degrade(factor);
+                    self.nodes[instance].set_degrade(factor);
                     self.record(Event::NodeDegraded {
                         node: instance as u32,
                         factor,
@@ -754,8 +732,7 @@ impl ClusterSim {
         for i in 0..self.nodes.len() {
             let state = self.power_state(i);
             let healthy = self.healthy(i);
-            self.node_mut(i)
-                .set_parked(state == NodePowerState::Parked || !healthy);
+            self.nodes[i].set_parked(state == NodePowerState::Parked || !healthy);
             self.serving[i] = state == NodePowerState::Active && healthy;
         }
     }
@@ -815,13 +792,13 @@ impl ClusterSim {
                 let dst = (0..n).find(|&d| {
                     self.serving[d]
                         && (!racked || self.rack_admissible[self.instance_racks[d]])
-                        && Self::expect_node(&self.nodes[d]).free_slots() > 0
+                        && self.nodes[d].free_slots() > 0
                 });
                 let Some(dst) = dst else { break };
-                let Some((state, weight)) = self.node_mut(src).extract_job() else {
+                let Some((state, weight)) = self.nodes[src].extract_job() else {
                     break;
                 };
-                let implanted = self.node_mut(dst).implant_job(state, weight);
+                let implanted = self.nodes[dst].implant_job(state, weight);
                 assert!(
                     implanted.is_some(),
                     "destination advertised a free slot but refused the implant"
@@ -848,7 +825,7 @@ impl ClusterSim {
         }
         for k in 0..self.park_scratch.len() {
             let i = self.park_scratch[k];
-            self.node_mut(i).set_parked(true);
+            self.nodes[i].set_parked(true);
             self.record(Event::AutoscalerTransition {
                 node: i as u32,
                 from: PowerStateKind::Draining,
@@ -888,7 +865,7 @@ impl ClusterSim {
                 .profile(app)
                 .unwrap_or_else(|| panic!("{app} missing from catalog"))
                 .clone();
-            self.node_mut(node)
+            self.nodes[node]
                 .place_job_weighted(&profile, weight)
                 // pliant-lint: allow(panic-hygiene): the scheduler chose this node
                 // from snapshots with `free_slots > 0` taken this same interval.
@@ -1010,10 +987,15 @@ impl ClusterSim {
     }
 
     /// Step phase: advances every node on its assigned load, on the calling thread or
-    /// through the persistent worker pool, returning the results in instance order.
+    /// split into contiguous chunks over the calling thread and the persistent worker
+    /// pool, returning the results in instance order.
     fn step_nodes(&mut self, threads: usize) -> Vec<NodeInterval> {
         let n = self.nodes.len();
-        let workers = if threads == 0 {
+        // A chunk per thread, capped at a node per chunk: under the clustered fleet
+        // approximation the instance count can be far below the logical fleet size,
+        // and a handful of representatives must not spin up a machine's worth of idle
+        // threads.
+        let threads = if threads == 0 {
             std::thread::available_parallelism()
                 .map(|p| p.get())
                 .unwrap_or(1)
@@ -1021,36 +1003,32 @@ impl ClusterSim {
             threads
         }
         .clamp(1, n);
-        if workers == 1 {
-            return (0..n)
-                .map(|i| {
-                    let load = self.assigned_scratch[i];
-                    self.node_mut(i).step(load)
-                })
-                .collect();
+        let mut out = Vec::with_capacity(n);
+        if threads == 1 {
+            let loads = &self.assigned_scratch;
+            out.extend(
+                self.nodes
+                    .iter_mut()
+                    .zip(loads)
+                    .map(|(node, &load)| node.step(load)),
+            );
+            return out;
         }
-        // Lazily create (or resize) the persistent pool, then ship each node to its
-        // sticky worker and stitch the results back in node order.
+        // The calling thread steps the first chunk, so the pool needs one worker per
+        // remaining chunk; it is rebuilt only when that count changes.
+        let chunk = n.div_ceil(threads);
+        let workers = n.div_ceil(chunk) - 1;
         if self
             .pool
             .as_ref()
-            .is_none_or(|p| p.worker_count() != workers)
+            .is_some_and(|p| p.worker_count() != workers)
         {
-            self.pool = Some(NodeWorkerPool::sized_for(workers, n));
+            self.pool = None;
         }
-        // pliant-lint: allow(panic-hygiene): assigned Some() two lines up.
-        let pool = self.pool.as_ref().expect("pool was just ensured");
-        pool.step_all(
-            &mut self.nodes,
-            &self.assigned_scratch,
-            &mut self.result_scratch,
-        );
-        self.result_scratch
-            .iter_mut()
-            // pliant-lint: allow(panic-hygiene): step_all resizes the results to one
-            // entry per node and fills each, or re-raises the worker panic.
-            .map(|r| r.take().expect("step_all fills every slot or panics"))
-            .collect()
+        self.pool
+            .get_or_insert_with(|| NodeWorkerPool::new(workers))
+            .step_all(chunk, &mut self.nodes, &self.assigned_scratch, &mut out);
+        out
     }
 
     /// Account phase: books the interval's job completions, measures each rack's draw
@@ -1118,11 +1096,7 @@ impl ClusterSim {
             faults: self.faults.as_ref().map(|f| f.snapshot()),
             rack_rng: self.rack_rng.as_ref().map(rng_state_words),
             rack_power_w: (!self.topology.is_flat()).then(|| self.rack_power_w.clone()),
-            node_checkpoints: self
-                .nodes
-                .iter()
-                .map(|slot| Self::expect_node(slot).checkpoint())
-                .collect(),
+            node_checkpoints: self.nodes.iter().map(ClusterNode::checkpoint).collect(),
         }
     }
 
@@ -1221,7 +1195,7 @@ impl ClusterSim {
             checkpoint.scheduler_stats,
         );
         for (index, node_checkpoint) in checkpoint.node_checkpoints.iter().enumerate() {
-            self.node_mut(index)
+            self.nodes[index]
                 .restore(node_checkpoint)
                 .map_err(|e| format!("node {index}: {e}"))?;
         }

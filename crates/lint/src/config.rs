@@ -13,7 +13,8 @@ pub struct LintConfig {
     /// (`ClusterNode::step`, matching only inside `impl ClusterNode`).
     pub hot_path_fns: Vec<String>,
     /// Path prefixes where wall-clock reads (`Instant::now`, `SystemTime`) are allowed:
-    /// the bench harness and the criterion compat shim measure real time by design.
+    /// the bench harnesses (`crates/bench/` and the repository benchmark `simbench/`)
+    /// and the criterion compat shim measure real time by design.
     pub wallclock_allowed: Vec<String>,
     /// Path prefixes of determinism-sensitive code where `HashMap`/`HashSet` are denied
     /// (iteration order reaches archives, statistics, or RNG consumption order). The
@@ -76,6 +77,12 @@ impl LintConfig {
                 "ClusterSim::place_jobs",
                 "ClusterSim::confine_to_sampled_rack",
                 "ClusterSim::dispatch",
+                // The fleet step phase: the serial loop, or the contiguous-chunk
+                // hand-off to the worker pool, whose batch buffers circulate and keep
+                // their capacity (the contract is also pinned dynamically in
+                // tests/hot_path.rs).
+                "ClusterSim::step_nodes",
+                "NodeWorkerPool::step_all",
                 // The topology placement/migration path (PR 10): rack scoring runs at
                 // every placement decision, the extract/implant pair moves in-flight
                 // batch state between nodes on the consolidation pass, and the drain
@@ -88,7 +95,7 @@ impl LintConfig {
                 "ColocationSim::implant_app",
                 "Autoscaler::park_fully_drained",
             ]),
-            wallclock_allowed: s(&["crates/bench/", "crates/compat/criterion/"]),
+            wallclock_allowed: s(&["crates/bench/", "simbench/", "crates/compat/criterion/"]),
             hash_container_scoped: s(&[
                 "crates/sim/",
                 "crates/core/",

@@ -192,6 +192,61 @@ fn topology_placement_and_migration_stay_in_the_determinism_scopes() {
     }
 }
 
+/// Regression (chunked fleet stepping): the step phase and the pool's per-interval
+/// hand-off run every interval of every parallel fleet run, so both stay on the
+/// hot-path-alloc denylist.
+#[test]
+fn fleet_step_phase_stays_on_the_hot_path_denylist() {
+    let cfg = LintConfig::repo_default();
+    for (hot, path) in [
+        ("ClusterSim::step_nodes", "crates/cluster/src/sim.rs"),
+        ("NodeWorkerPool::step_all", "crates/cluster/src/pool.rs"),
+    ] {
+        assert!(
+            cfg.hot_path_fns.iter().any(|f| f == hot),
+            "{hot} must stay on the hot-path-alloc denylist"
+        );
+        let (ty, name) = hot.split_once("::").unwrap();
+        let src = format!("impl {ty} {{ fn {name}(&mut self) {{ let v = vec![0u8; 4]; }} }}");
+        let findings = lint_source(path, &src, &cfg);
+        assert!(
+            findings.iter().any(|f| f.rule == "hot-path-alloc"),
+            "a vec![..] inside {hot} must be flagged, got:\n{}",
+            render(&findings)
+        );
+    }
+}
+
+/// The benchmark harnesses measure wall and CPU time by design and may read the
+/// clock; every library path stays under the nondeterminism rule.
+#[test]
+fn only_the_bench_harnesses_may_read_the_wall_clock() {
+    let cfg = LintConfig::repo_default();
+    let clock = "fn now() -> std::time::Instant { std::time::Instant::now() }";
+    for path in ["simbench/src/main.rs", "crates/bench/src/lib.rs"] {
+        let findings = lint_source(path, clock, &cfg);
+        assert!(
+            findings.iter().all(|f| f.rule != "nondeterminism"),
+            "{path} is a bench harness and may read the clock, got:\n{}",
+            render(&findings)
+        );
+    }
+    for path in [
+        "src/lib.rs",
+        "crates/sim/src/colocation.rs",
+        "crates/core/src/engine.rs",
+        "crates/cluster/src/pool.rs",
+        "crates/telemetry/src/obs.rs",
+    ] {
+        let findings = lint_source(path, clock, &cfg);
+        assert!(
+            findings.iter().any(|f| f.rule == "nondeterminism"),
+            "an Instant::now in {path} must be flagged, got:\n{}",
+            render(&findings)
+        );
+    }
+}
+
 #[test]
 fn cli_check_fails_on_the_violations_fixture() {
     let (code, stdout, stderr) = run_cli(&fixtures_dir(), &["--check", "violations.rs"]);

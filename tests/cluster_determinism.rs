@@ -7,6 +7,9 @@
 //!    over every latency sample the fleet produced.
 //! 3. Under common random numbers, the Pliant fleet absorbs load the Precise fleet
 //!    cannot, and batch jobs flow through the queue deterministically.
+//! 4. The parallel step splits the instances into contiguous chunks, one per thread;
+//!    uneven chunks, more threads than instances, and a thread count that changes
+//!    between intervals all reproduce the serial run exactly.
 
 use pliant::prelude::*;
 
@@ -47,6 +50,85 @@ fn cluster_runs_are_byte_identical_across_execution_modes() {
         serial_json,
         serde_json::to_string(&two_workers).expect("serializable"),
         "a partial worker pool must not change any fleet statistic either"
+    );
+}
+
+/// A 13-node fleet with every coordinator layer on: the energy study's autoscaler with
+/// consolidation, thirteen single-node racks under a power budget, the scheduled
+/// crash and slowdown of the failure study, and a rack outage. Thirteen is prime, so
+/// every thread count from 2 up splits it into uneven chunks.
+fn uneven_fleet() -> ClusterScenario {
+    let mut scenario = pliant_bench::cluster_energy_scenario_at_scale(13, PolicyKind::Pliant, 31);
+    scenario.horizon = Horizon::Intervals(90);
+    scenario.topology = TopologyConfig::Racks {
+        racks: 13,
+        nodes_per_rack: 1,
+        rack_power_w: Some(220.0),
+    };
+    if let Some(autoscaler) = &mut scenario.autoscaler {
+        autoscaler.consolidate = true;
+    }
+    let mut faults = pliant_bench::cluster_failure_trace();
+    faults.rack_outages.push(RackOutage {
+        rack: 7,
+        at_interval: 45,
+        duration_intervals: 20,
+    });
+    scenario.fault_profile = Some(faults);
+    scenario
+        .validate()
+        .expect("the uneven fleet is a valid scenario");
+    scenario
+}
+
+#[test]
+fn uneven_chunks_are_byte_identical_for_every_thread_count() {
+    let scenario = uneven_fleet();
+    let outcome = Engine::new().run_cluster(&scenario);
+    // Every layer the fleet carries must actually act within the horizon.
+    assert!(
+        outcome.min_active_nodes < outcome.nodes,
+        "the autoscaler must park part of the fleet"
+    );
+    let faults = outcome.faults.as_ref().expect("the fleet carries faults");
+    assert!(faults.crashes >= 2 && faults.degradations >= 1 && faults.jobs_requeued > 0);
+    let serial = serde_json::to_string(&outcome).unwrap();
+    // 16 exceeds the instance count: the step caps itself at one node per thread.
+    for threads in [1, 2, 3, 5, 16] {
+        let outcome = Engine::new()
+            .parallel_threads(threads)
+            .run_cluster(&scenario);
+        assert_eq!(
+            serial,
+            serde_json::to_string(&outcome).unwrap(),
+            "{threads} threads over 13 nodes must not change any fleet statistic"
+        );
+    }
+}
+
+#[test]
+fn resizing_the_pool_mid_run_matches_a_serial_run_interval_by_interval() {
+    let scenario = uneven_fleet();
+    let catalog = Catalog::default();
+    let mut serial = ClusterSim::new(&scenario, &catalog);
+    let mut resized = ClusterSim::new(&scenario, &catalog);
+    // Every change of thread count rebuilds the pool; 1 steps on the caller alone and
+    // keeps the two-thread pool alive for the next switch.
+    let schedule = [2, 3, 1, 2];
+    for interval in 0..scenario.max_intervals() {
+        let threads = schedule[(interval / 5) % schedule.len()];
+        let expected = serial.advance();
+        let got = resized.advance_threads(threads);
+        assert_eq!(
+            format!("{expected:?}"),
+            format!("{got:?}"),
+            "interval {interval} on {threads} threads diverged from the serial run"
+        );
+    }
+    assert_eq!(
+        serde_json::to_string(&serial.checkpoint()).unwrap(),
+        serde_json::to_string(&resized.checkpoint()).unwrap(),
+        "the fleets must end in the same state"
     );
 }
 

@@ -62,6 +62,7 @@ fn load_profile_zoo() -> Vec<LoadProfile> {
 
 #[test]
 fn histogram_p99_stays_within_one_bucket_width_of_the_exact_p99() {
+    let _exclusive = exclusive();
     let catalog = Catalog::default();
     for service in ServiceId::all() {
         for profile in load_profile_zoo() {
@@ -97,6 +98,7 @@ fn histogram_p99_stays_within_one_bucket_width_of_the_exact_p99() {
 
 #[test]
 fn reused_buffers_report_no_signal_on_idle_intervals_after_busy_ones() {
+    let _exclusive = exclusive();
     // The monitor-facing half of the buffer-reuse contract: drive the exact engine
     // pattern (recycled observations feeding the monitor) through a busy -> idle ->
     // busy load profile and pin that the idle interval is a true no-signal, with the
@@ -144,20 +146,30 @@ fn reused_buffers_report_no_signal_on_idle_intervals_after_busy_ones() {
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use pliant::telemetry::obs::{Event, EventKind, MetricsRegistry, ObsBuffer, ObsLevel};
 
 /// The system allocator with a thread-local allocation counter, so concurrently
-/// running tests on other threads cannot perturb a measurement.
+/// running tests on other threads cannot perturb a measurement, and a process-wide one
+/// for code that allocates on threads it spawns itself.
 struct CountingAllocator;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
+static PROCESS_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+fn count_allocation() {
+    ALLOCATIONS.with(|c| c.set(c.get() + 1));
+    PROCESS_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+}
+
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|c| c.set(c.get() + 1));
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -166,9 +178,16 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|c| c.set(c.get() + 1));
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
+}
+
+/// Runs the tests of this file one at a time: a process-wide count is only
+/// attributable while no other test allocates, so every test holds this guard.
+fn exclusive() -> MutexGuard<'static, ()> {
+    static EXCLUSIVE: Mutex<()> = Mutex::new(());
+    EXCLUSIVE.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[global_allocator]
@@ -183,8 +202,17 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
     ALLOCATIONS.with(Cell::get) - before
 }
 
+/// Allocations made by `f` and every thread running meanwhile; callers hold
+/// [`exclusive`] so no other test contributes.
+fn process_allocations_during(f: impl FnOnce()) -> u64 {
+    let before = PROCESS_ALLOCATIONS.load(Ordering::SeqCst);
+    f();
+    PROCESS_ALLOCATIONS.load(Ordering::SeqCst) - before
+}
+
 #[test]
 fn obs_emit_is_allocation_free_when_off_and_when_saturated() {
+    let _exclusive = exclusive();
     let event = Event::QosViolation {
         node: 0,
         p99_s: 4e-4,
@@ -253,6 +281,7 @@ fn fleet_snapshots(n: usize, free_slots: usize) -> Vec<NodeSnapshot> {
 
 #[test]
 fn fleet_decisions_are_allocation_free_once_warm() {
+    let _exclusive = exclusive();
     let n = 8;
     let snapshots = fleet_snapshots(n, 1);
     let unit = vec![1usize; n];
@@ -321,5 +350,60 @@ fn fleet_decisions_are_allocation_free_once_warm() {
         scheduler.pending(),
         0,
         "eight nodes × eight slots take the whole queue"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// 5. The parallel fleet step: its batch buffers circulate between the coordinator and
+//    the pool worker and keep their capacity, so once warm a 2-thread interval
+//    allocates no more than a serial one — counted on every thread, the worker's
+//    included.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn parallel_fleet_steps_allocate_no_more_than_serial_once_warm() {
+    let _exclusive = exclusive();
+    // Five nodes split unevenly over two threads (chunks of 3 and 2).
+    let scenario = ClusterScenario::builder(ServiceId::Memcached)
+        .nodes(5)
+        .jobs([
+            AppId::Canneal,
+            AppId::Snp,
+            AppId::Bayesian,
+            AppId::KMeans,
+            AppId::Canneal,
+            AppId::Snp,
+            AppId::Bayesian,
+        ])
+        .avg_node_load(0.7)
+        .horizon_intervals(40)
+        .seed(2024)
+        .build();
+    let catalog = Catalog::default();
+    let mut serial = ClusterSim::new(&scenario, &catalog);
+    let mut parallel = ClusterSim::new(&scenario, &catalog);
+    // Steps `sim` through `intervals` recycled intervals on `threads` threads and
+    // returns the allocations made meanwhile on every thread.
+    let run = |sim: &mut ClusterSim, threads: usize, intervals: usize| {
+        process_allocations_during(|| {
+            for _ in 0..intervals {
+                let interval = sim.advance_threads(threads);
+                sim.recycle_interval(interval);
+            }
+        })
+    };
+    run(&mut serial, 1, 15);
+    run(&mut parallel, 2, 15);
+    // Both fleets replay the same intervals window by window, so the simulation
+    // allocates identically on each side and only the step path can differ. The test
+    // harness may allocate once, as the previous test's thread winds down; it can land
+    // in one window but not in all three.
+    let excess: Vec<i64> = (0..3)
+        .map(|_| run(&mut parallel, 2, 8) as i64 - run(&mut serial, 1, 8) as i64)
+        .collect();
+    assert!(
+        excess.iter().any(|&e| e <= 0),
+        "a warm 2-thread fleet allocated more than the serial fleet in every window \
+         of 8 intervals (excess per window: {excess:?})"
     );
 }
