@@ -52,12 +52,7 @@ fn mixes(combos: usize) -> Vec<Vec<AppId>> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let json = pliant_bench::json_requested(&args);
-    let combos = args
-        .iter()
-        .position(|a| a == "--combos")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(12);
+    let combos: usize = pliant_bench::parse_flag(&args, "--combos").unwrap_or(12);
 
     let suite = Suite::new(
         Scenario::builder(ServiceId::Nginx)

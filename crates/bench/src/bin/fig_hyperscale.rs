@@ -31,7 +31,7 @@ use std::time::Instant;
 
 use pliant_bench::{
     approximation_from_args, cluster_energy_scenario_at_scale, cluster_machines_needed_scenario,
-    export_trace, flag_value, format_latency, print_table, trace_opts, TraceRunSummary,
+    export_trace, format_latency, parse_flag, print_table, trace_opts, TraceRunSummary,
 };
 use pliant_cluster::prelude::*;
 use pliant_core::engine::Engine;
@@ -91,18 +91,8 @@ struct HyperscaleFigure {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let json = pliant_bench::json_requested(&args);
-    let seed: u64 = flag_value(&args, "--seed").map_or(7, |v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("error: --seed expects an integer");
-            std::process::exit(2);
-        })
-    });
-    let fleet_nodes: usize = flag_value(&args, "--nodes").map_or(10_000, |v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("error: --nodes expects an integer");
-            std::process::exit(2);
-        })
-    });
+    let seed: u64 = parse_flag(&args, "--seed").unwrap_or(7);
+    let fleet_nodes: usize = parse_flag(&args, "--nodes").unwrap_or(10_000);
     if fleet_nodes < 6 {
         eprintln!("error: --nodes must be at least 6 (the sweep scales the 6-node study)");
         std::process::exit(2);

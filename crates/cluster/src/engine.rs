@@ -60,11 +60,7 @@ pub trait ClusterEngineExt {
 
 impl ClusterEngineExt for Engine {
     fn run_cluster(&self, scenario: &ClusterScenario) -> ClusterOutcome {
-        let threads = match self.mode() {
-            ExecMode::Serial => 1,
-            ExecMode::Parallel { threads } => threads,
-        };
-        execute_cluster(scenario, self, threads, ObsLevel::Off).0
+        ClusterRun::new(scenario, self).finish().0
     }
 
     fn run_cluster_traced(
@@ -72,11 +68,7 @@ impl ClusterEngineExt for Engine {
         scenario: &ClusterScenario,
         level: ObsLevel,
     ) -> (ClusterOutcome, EventLog) {
-        let threads = match self.mode() {
-            ExecMode::Serial => 1,
-            ExecMode::Parallel { threads } => threads,
-        };
-        execute_cluster(scenario, self, threads, level)
+        ClusterRun::with_obs(scenario, self, level).finish()
     }
 
     fn run_cluster_collect(&self, suite: &ClusterSuite) -> Vec<ClusterCellOutcome> {
@@ -94,17 +86,6 @@ impl ClusterEngineExt for Engine {
             })
             .collect()
     }
-}
-
-/// Runs one cluster scenario against the engine's catalog with the given node-update
-/// worker count (`0` = one per available core, `1` = serial).
-fn execute_cluster(
-    scenario: &ClusterScenario,
-    engine: &Engine,
-    threads: usize,
-    level: ObsLevel,
-) -> (ClusterOutcome, EventLog) {
-    ClusterRun::with_threads(scenario, engine, threads, level).finish()
 }
 
 /// A cluster execution that can be paused, checkpointed, and resumed.
@@ -182,15 +163,6 @@ impl ClusterRun {
             ExecMode::Serial => 1,
             ExecMode::Parallel { threads } => threads,
         };
-        Self::with_threads(scenario, engine, threads, level)
-    }
-
-    fn with_threads(
-        scenario: &ClusterScenario,
-        engine: &Engine,
-        threads: usize,
-        level: ObsLevel,
-    ) -> Self {
         let sim = ClusterSim::with_obs(scenario, engine.catalog(), level);
         let n = sim.instance_count();
         let max_intervals = scenario.max_intervals();

@@ -24,8 +24,7 @@
 //!   per-cell seeds.
 //! * [`engine`] — executes scenarios and suites serially or on a thread pool, streaming
 //!   results through pluggable [`engine::ResultSink`]s in deterministic order.
-//! * [`experiment`] — the outcome types plus the legacy free-function drivers, kept as
-//!   thin wrappers over the scenario API.
+//! * [`experiment`] — the outcome types the engine produces.
 //!
 //! # Example
 //!
@@ -70,7 +69,7 @@ pub mod suite;
 pub use actuator::{Action, Actuator};
 pub use controller::{ControllerConfig, PliantController};
 pub use engine::{CellOutcome, Collector, Engine, ExecMode, ResultSink};
-pub use experiment::{ColocationOutcome, ExperimentOptions, PhaseQosStats};
+pub use experiment::{ColocationOutcome, PhaseQosStats};
 pub use monitor::{MonitorConfig, PerformanceMonitor};
 pub use multi::MultiAppController;
 pub use policy::{Policy, PolicyKind, PrecisePolicy};

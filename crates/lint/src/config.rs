@@ -14,7 +14,7 @@ pub struct LintConfig {
     pub hot_path_fns: Vec<String>,
     /// Path prefixes where wall-clock reads (`Instant::now`, `SystemTime`) are allowed:
     /// the bench harnesses (`crates/bench/` and the repository benchmark `simbench/`)
-    /// and the criterion compat shim measure real time by design.
+    /// measure real time by design.
     pub wallclock_allowed: Vec<String>,
     /// Path prefixes of determinism-sensitive code where `HashMap`/`HashSet` are denied
     /// (iteration order reaches archives, statistics, or RNG consumption order). The
@@ -95,7 +95,7 @@ impl LintConfig {
                 "ColocationSim::implant_app",
                 "Autoscaler::park_fully_drained",
             ]),
-            wallclock_allowed: s(&["crates/bench/", "simbench/", "crates/compat/criterion/"]),
+            wallclock_allowed: s(&["crates/bench/", "simbench/"]),
             hash_container_scoped: s(&[
                 "crates/sim/",
                 "crates/core/",

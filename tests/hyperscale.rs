@@ -161,7 +161,8 @@ fn clustered_runs_are_byte_identical_across_execution_modes() {
 fn ten_thousand_node_fleet_collapses_to_a_handful_of_instances() {
     // The hyperscale headline: 10k logical nodes, a handful of simulated instances,
     // full logical-fleet statistics. (The >= 10x throughput-over-exact claim is gated
-    // in perf_report's hyperscale metric, not re-timed here.)
+    // by the CI perf gate on the benchmark's `fleet_hyperscale` workload, not re-timed
+    // here.)
     let scenario = diurnal(
         10_000,
         FleetApproximation::Clustered {
