@@ -53,6 +53,12 @@ impl LintConfig {
                 "poly_exp",
                 "sample_normal_ziggurat",
                 "fill_lognormals",
+                // The two-pass batch sampler's pieces: the inlined ziggurat accept
+                // path and its shared wedge/tail slow path, and the branch-free `exp`
+                // core of the second pass.
+                "ziggurat_normal",
+                "ziggurat_slow_path",
+                "fast_exp_in_range",
                 // The hyperscale grouped-dispatch path (PR 7): runs once per interval
                 // on clustered fleets whose logical size can reach 100k nodes, and the
                 // per-sample replication inside ClusterNode::step.

@@ -217,6 +217,29 @@ fn fleet_step_phase_stays_on_the_hot_path_denylist() {
     }
 }
 
+/// The two-pass lognormal sampler's `exp` core and its ziggurat slow path run per
+/// sample inside the per-interval loop; both must stay on the denylist.
+#[test]
+fn two_pass_sampler_stays_on_the_hot_path_denylist() {
+    let cfg = LintConfig::repo_default();
+    for (hot, path) in [
+        ("fast_exp_in_range", "crates/telemetry/src/fastmath.rs"),
+        ("ziggurat_slow_path", "crates/telemetry/src/rng.rs"),
+    ] {
+        assert!(
+            cfg.hot_path_fns.iter().any(|f| f == hot),
+            "{hot} must stay on the hot-path-alloc denylist"
+        );
+        let src = format!("fn {hot}(x: f64) -> f64 {{ let v = vec![x; 4]; v[0] }}");
+        let findings = lint_source(path, &src, &cfg);
+        assert!(
+            findings.iter().any(|f| f.rule == "hot-path-alloc"),
+            "a vec![..] inside {hot} must be flagged, got:\n{}",
+            render(&findings)
+        );
+    }
+}
+
 /// The benchmark harnesses measure wall and CPU time by design and may read the
 /// clock; every library path stays under the nondeterminism rule.
 #[test]

@@ -120,10 +120,12 @@ impl LatencyModel {
     /// Clears `out` and fills it with `n` per-request latency samples (see
     /// [`Self::sample_latencies`]).
     ///
-    /// This is the hot-path entry point: samples are generated by the batch ziggurat
-    /// sampler ([`pliant_telemetry::rng::fill_lognormals`]) into the caller's reused
-    /// buffer, which is what lets [`ColocationSim::advance`] run without per-interval
-    /// allocations or `libm` calls in the sample loop.
+    /// This is the hot-path entry point: samples are generated by the two-pass batch
+    /// sampler ([`pliant_telemetry::rng::fill_lognormals`]: ziggurat normals, then one
+    /// vectorized `exp` pass) into the caller's reused buffer, which is what lets
+    /// [`ColocationSim::advance`] run without per-interval allocations or `libm` calls
+    /// in the sample loop. The samples are the same stream, bit for bit, as drawing
+    /// them one at a time.
     ///
     /// [`ColocationSim::advance`]: crate::colocation::ColocationSim::advance
     pub fn sample_latencies_into(

@@ -7,13 +7,20 @@
 //! (Cody–Waite for `exp`, atanh-series for `ln`), written as plain multiply/add chains
 //! so the compiler can pipeline independent iterations.
 //!
+//! `exp` comes in two entry points over one body. [`fast_exp`] handles every input,
+//! with guards for NaN, overflow and the subnormal range. [`fast_exp_in_range`] is its
+//! branch-free core for `|x| <= FAST_EXP_IN_RANGE_MAX` and returns the same bits there;
+//! with no branch and no float-to-integer conversion, a loop of it over a slice
+//! vectorizes with plain SSE2, which is how the batch lognormal sampler
+//! ([`crate::rng::fill_lognormals`]) applies `exp` to a whole interval's samples.
+//!
 //! Accuracy is bounded well below `1e-11` relative error across the full double range
 //! (tested against `std` in this module), which is far tighter than the statistical
 //! noise of any sampled quantity — but these are approximations, so they are reserved
 //! for *sample generation* (where only the distribution matters) and never used in
 //! analytics or reported statistics.
 //!
-//! Determinism: both functions are pure sequences of IEEE-754 double operations with no
+//! Determinism: all of these are pure sequences of IEEE-754 double operations with no
 //! fused-multiply-add, so for a given input they return the same bits on every platform
 //! and every run — unlike `libm`, whose `exp`/`ln`/`cos` bit patterns vary between
 //! implementations. (The repo's determinism guarantee is per-build, so either property
@@ -29,12 +36,21 @@ const LN2_LO: f64 = 1.908_214_929_270_587_7e-10;
 /// branch or an SSE4 `round` instruction; valid for |x| < 2^51.
 const ROUND_SHIFT: f64 = 6_755_399_441_055_744.0;
 
+/// Largest `|x|` [`fast_exp_in_range`] accepts: `707 · log2(e) ≈ 1020`, so the scale
+/// `2^n` is always a normal double and needs no edge handling.
+pub const FAST_EXP_IN_RANGE_MAX: f64 = 707.0;
+
 /// Fast `e^x` with relative error below ~2e-14 on the finite range.
 ///
 /// Overflow (`x` ≳ 709.8) returns `f64::INFINITY`, deep underflow (`x` ≲ -745.2)
-/// returns `0.0`, and NaN propagates — matching `f64::exp`'s edge behavior.
+/// returns `0.0`, and NaN propagates — matching `f64::exp`'s edge behavior. Inside
+/// `|x| <= FAST_EXP_IN_RANGE_MAX` this is exactly [`fast_exp_in_range`]; the edge
+/// guards and the two-step subnormal scale only run outside it.
 #[inline]
 pub fn fast_exp(x: f64) -> f64 {
+    if x.abs() <= FAST_EXP_IN_RANGE_MAX {
+        return fast_exp_in_range(x);
+    }
     if x.is_nan() {
         return f64::NAN;
     }
@@ -44,22 +60,50 @@ pub fn fast_exp(x: f64) -> f64 {
     if x < -745.2 {
         return 0.0;
     }
-    // Cody–Waite range reduction: x = n·ln2 + r with |r| <= ln2/2.
-    let nf = (x * LOG2_E + ROUND_SHIFT) - ROUND_SHIFT;
-    let r = (x - nf * LN2_HI) - nf * LN2_LO;
-    // Taylor polynomial of e^r on [-0.3466, 0.3466]; remainder r^12/12! < 7e-15.
-    let p = poly_exp(r);
-    // Scale by 2^n through the exponent bits; a two-step scale keeps subnormal results
-    // representable (n can reach -1074 before the underflow guard above triggers).
-    let n = nf as i64;
+    let (shifted, p) = exp_reduce(x);
+    let n = (shifted - ROUND_SHIFT) as i64;
     if (-1021..=1023).contains(&n) {
-        p * f64::from_bits(((1023 + n) as u64) << 52)
+        p * exp2_from_shifted(shifted)
     } else if n > 1023 {
         f64::INFINITY
     } else {
-        // Subnormal range: scale in two exactly-representable steps.
+        // Subnormal range: scale in two exactly-representable steps (n can reach
+        // -1074 before the underflow guard above triggers).
         p * f64::from_bits(((1023 + n + 960) as u64) << 52) * f64::from_bits((63u64) << 52)
     }
+}
+
+/// The branch-free core of [`fast_exp`] for `|x| <= FAST_EXP_IN_RANGE_MAX`: the same
+/// operations in the same order, so it returns the same bits as [`fast_exp`] there.
+///
+/// It reads `n` from the bits of the rounding sum instead of converting a float to an
+/// integer, so a loop over a slice compiles to straight-line SSE2 code. Outside the
+/// range (or on NaN) the result is meaningless; callers check the range first, as
+/// [`crate::rng::fill_lognormals`] does once per batch.
+#[inline]
+pub fn fast_exp_in_range(x: f64) -> f64 {
+    let (shifted, p) = exp_reduce(x);
+    p * exp2_from_shifted(shifted)
+}
+
+/// Cody–Waite range reduction `x = n·ln2 + r` with `|r| <= ln2/2`, then the polynomial
+/// `e^r`. Returns the rounding sum `x·log2(e) + ROUND_SHIFT` (whose low mantissa bits
+/// hold `n`) and `e^r`.
+#[inline(always)]
+fn exp_reduce(x: f64) -> (f64, f64) {
+    let shifted = x * LOG2_E + ROUND_SHIFT;
+    let nf = shifted - ROUND_SHIFT;
+    let r = (x - nf * LN2_HI) - nf * LN2_LO;
+    // Taylor polynomial of e^r on [-0.3466, 0.3466]; remainder r^12/12! < 7e-15.
+    (shifted, poly_exp(r))
+}
+
+/// `2^n` for `n` in `[-1022, 1023]`, built in the exponent bits from the rounding sum
+/// of [`exp_reduce`]: its bits are `ROUND_SHIFT`'s plus `n`, and `ROUND_SHIFT`'s low 12
+/// bits are zero, so the low 12 bits of `bits + 1023` are the biased exponent.
+#[inline(always)]
+fn exp2_from_shifted(shifted: f64) -> f64 {
+    f64::from_bits(shifted.to_bits().wrapping_add(1023) << 52)
 }
 
 /// Degree-11 Taylor polynomial of `e^r`, Horner form.

@@ -9,7 +9,7 @@ use std::sync::OnceLock;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::fastmath::{fast_exp, fast_ln};
+use crate::fastmath::{fast_exp, fast_exp_in_range, fast_ln, FAST_EXP_IN_RANGE_MAX};
 
 /// Creates a deterministic RNG from an explicit seed.
 ///
@@ -171,17 +171,46 @@ fn zig_tables() -> &'static ZigTables {
 /// [`sample_standard_normal`]. The two samplers produce the same distribution but
 /// different streams; Box–Muller is kept for the calibrated kernel and noise streams
 /// whose historical sequences tests pin, while batch sample generation uses this one.
+///
+/// The common case is inlined here and in [`fill_lognormals`]; the draws that miss the
+/// layer's inner rectangle continue in one out-of-line slow path (wedge and tail), so
+/// both consume the RNG draw for draw alike.
 pub fn sample_normal_ziggurat<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    let t = zig_tables();
+    ziggurat_normal(zig_tables(), rng)
+}
+
+/// One ziggurat normal: the common case inline, wedge and tail in the slow path.
+#[inline(always)]
+fn ziggurat_normal<R: Rng + ?Sized>(t: &ZigTables, rng: &mut R) -> f64 {
+    let bits: u64 = rng.gen();
+    let (i, sign, x) = ziggurat_candidate(t, bits);
+    // Wholly inside the layer's inner rectangle: accept immediately.
+    if x < t.x[i + 1] {
+        sign * x
+    } else {
+        ziggurat_slow_path(t, rng, bits)
+    }
+}
+
+/// Decodes one ziggurat draw: the layer (low 8 bits), the signed unit (bit 8), and the
+/// candidate `x = u · x[i]` from a 53-bit uniform (bits 11..64) — all independent.
+#[inline(always)]
+fn ziggurat_candidate(t: &ZigTables, bits: u64) -> (usize, f64, f64) {
+    let i = (bits & 0xff) as usize;
+    let sign = if bits & 0x100 == 0 { 1.0 } else { -1.0 };
+    let u = (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+    (i, sign, u * t.x[i])
+}
+
+/// The ziggurat's rare case (~1–2% of draws), starting from a first draw `bits` whose
+/// candidate missed the inner rectangle: the wedge and tail tests, then fresh draws
+/// until one is accepted.
+#[cold]
+#[inline(never)]
+fn ziggurat_slow_path<R: Rng + ?Sized>(t: &ZigTables, rng: &mut R, mut bits: u64) -> f64 {
     loop {
-        // One draw provides the layer (low 8 bits), the sign (bit 8), and a 53-bit
-        // uniform (bits 11..64) — all independent.
-        let bits: u64 = rng.gen();
-        let i = (bits & 0xff) as usize;
-        let sign = if bits & 0x100 == 0 { 1.0 } else { -1.0 };
-        let u = (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        let x = u * t.x[i];
-        // Wholly inside the layer's inner rectangle: accept immediately.
+        let (i, sign, x) = ziggurat_candidate(t, bits);
+        // Fails for the first draw; a fresh one may land inside its inner rectangle.
         if x < t.x[i + 1] {
             return sign * x;
         }
@@ -204,6 +233,7 @@ pub fn sample_normal_ziggurat<R: Rng + ?Sized>(rng: &mut R) -> f64 {
         if y < fast_exp(-0.5 * x * x) {
             return sign * x;
         }
+        bits = rng.gen();
     }
 }
 
@@ -211,10 +241,22 @@ pub fn sample_normal_ziggurat<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 /// [`sample_lognormal`] (median and shape `sigma`).
 ///
 /// This is the batch sampler the co-location hot path uses for per-interval latency
-/// sample generation: ziggurat normals plus the polynomial
-/// [`fast_exp`], roughly 3x faster per sample than
-/// [`sample_lognormal`]'s Box–Muller + `libm` pipeline. Identical distribution,
-/// different stream.
+/// sample generation, in two passes over `out`:
+///
+/// 1. **Normals.** Each slot gets `sigma * z` for a ziggurat normal `z`, with the
+///    common case of [`sample_normal_ziggurat`] inlined (one draw, one lookup, one
+///    multiply, one compare) and the rare wedge and tail draws in its shared slow path.
+/// 2. **`exp`.** When every `|sigma * z|` is at most [`FAST_EXP_IN_RANGE_MAX`]
+///    (always, at the shapes services use), each slot becomes
+///    `median * fast_exp_in_range(..)`, a branch-free loop the compiler vectorizes;
+///    otherwise (a huge `sigma`, or NaN) each slot takes [`fast_exp`] with its edge
+///    guards.
+///
+/// The output is the same stream, bit for bit and RNG draw for draw, as the
+/// per-sample loop `median * fast_exp(sigma * sample_normal_ziggurat(rng))`: the same
+/// floating-point operations run in the same order, only regrouped into passes. Versus
+/// [`sample_lognormal`]'s Box–Muller + `libm` pipeline it has the identical
+/// distribution and a different stream.
 ///
 /// # Panics
 ///
@@ -228,11 +270,24 @@ pub fn fill_lognormals<R: Rng + ?Sized>(
 ) {
     assert!(median > 0.0, "lognormal median must be positive");
     assert!(sigma >= 0.0, "lognormal sigma must be non-negative");
+    // The table reference is taken once per batch: calling `sample_normal_ziggurat` per
+    // slot re-reads the `OnceLock` each time, which measured slower.
+    let t = zig_tables();
     out.clear();
     out.reserve(n);
-    for _ in 0..n {
-        let z = sample_normal_ziggurat(rng);
-        out.push(median * fast_exp(sigma * z));
+    out.extend((0..n).map(|_| sigma * ziggurat_normal(t, rng)));
+    // Not `all`: a non-short-circuiting fold vectorizes, and NaN compares false.
+    let in_range = out
+        .iter()
+        .fold(true, |ok, x| ok & (x.abs() <= FAST_EXP_IN_RANGE_MAX));
+    if in_range {
+        for x in out.iter_mut() {
+            *x = median * fast_exp_in_range(*x);
+        }
+    } else {
+        for x in out.iter_mut() {
+            *x = median * fast_exp(*x);
+        }
     }
 }
 
