@@ -1,10 +1,15 @@
-//! Golden-output pins for the cluster figure binaries.
+//! Golden-output pins for the figure binaries.
 //!
 //! The population/instance refactor promises that exact simulation (the default
 //! `FleetApproximation::Exact`) is *byte-identical* to the pre-population simulator.
 //! These tests enforce the promise end to end: each figure binary is run with its
 //! default flags and its `--json` output is compared byte-for-byte against the golden
 //! file captured before the refactor landed.
+//!
+//! The single-node figures (`fig4_dynamic_behavior`, `fig5_aggregate`,
+//! `fig8_load_sweep`) pin `Engine::run_scenario` end to end the same way: every
+//! sampler, monitor and controller change on the serial engine must leave their bytes
+//! untouched.
 //!
 //! If a change intentionally alters a figure (new operating point, new field in the
 //! figure struct), regenerate the golden in the same commit:
@@ -15,6 +20,8 @@
 //! cargo run --release -p pliant-bench --bin fig_energy -- --json \
 //!     > crates/bench/tests/golden/fig_energy.json
 //! ```
+//!
+//! and likewise for the three single-node binaries above.
 //!
 //! An *unintentional* diff here means the exact simulation path changed behavior —
 //! treat it as a correctness regression, not as a golden to refresh.
@@ -68,6 +75,39 @@ fn explicit_exact_approx_flag_matches_the_default_path() {
     // `--approx 0` must route through the same exact path as no flag at all.
     let fresh = run_json(env!("CARGO_BIN_EXE_fig_energy"), &["--approx", "0"]);
     assert_eq!(fresh, golden("fig_energy.json"));
+}
+
+#[test]
+fn fig4_dynamic_behavior_output_is_byte_identical_to_the_golden() {
+    let fresh = run_json(env!("CARGO_BIN_EXE_fig4_dynamic_behavior"), &[]);
+    assert_eq!(
+        fresh,
+        golden("fig4_dynamic_behavior.json"),
+        "fig4_dynamic_behavior --json drifted; the single-node engine must stay \
+         byte-identical (see the module docs before refreshing)"
+    );
+}
+
+#[test]
+fn fig5_aggregate_output_is_byte_identical_to_the_golden() {
+    let fresh = run_json(env!("CARGO_BIN_EXE_fig5_aggregate"), &[]);
+    assert_eq!(
+        fresh,
+        golden("fig5_aggregate.json"),
+        "fig5_aggregate --json drifted; the single-node engine must stay \
+         byte-identical (see the module docs before refreshing)"
+    );
+}
+
+#[test]
+fn fig8_load_sweep_output_is_byte_identical_to_the_golden() {
+    let fresh = run_json(env!("CARGO_BIN_EXE_fig8_load_sweep"), &[]);
+    assert_eq!(
+        fresh,
+        golden("fig8_load_sweep.json"),
+        "fig8_load_sweep --json drifted; the single-node engine must stay \
+         byte-identical (see the module docs before refreshing)"
+    );
 }
 
 fn field<'a>(v: &'a serde_json::Value, key: &str) -> &'a serde_json::Value {

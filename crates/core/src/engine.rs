@@ -349,7 +349,6 @@ pub(crate) fn execute_with_config(
     let mut violations = 0usize;
     let mut intervals = 0usize;
     let mut max_extra_cores = 0u32;
-    let mut max_reclaimed_per_app = vec![0u32; app_ids.len()];
 
     let horizon = scenario.max_intervals();
     let mut latency_series = TimeSeries::with_capacity("p99_latency_s", horizon);
@@ -383,7 +382,12 @@ pub(crate) fn execute_with_config(
     // sample and status buffers are allocated once per run, not once per interval.
     let mut recycled = None;
     for k in 0..max_intervals {
-        let obs = sim.advance_reusing(scenario.decision_interval_s, recycled.take());
+        // The monitor picks the samples it will read before they exist, and the
+        // simulator materialises only those: the unread ones merely advance the sample
+        // stream, so every stream and every report is the same as with all of them.
+        let obs = sim.advance_selected(scenario.decision_interval_s, recycled.take(), |n, s| {
+            monitor.select_samples(n, s)
+        });
         intervals += 1;
         // An idle interval (zero arrivals, e.g. a load-profile trough) served no
         // requests: there is no latency to report, so it contributes nothing to the
@@ -430,7 +434,6 @@ pub(crate) fn execute_with_config(
             let v = status.variant.map_or(0.0, |x| (x + 1) as f64);
             variant_series[i].push(obs.time_s, v);
             reclaimed_series[i].push(obs.time_s, status.cores_reclaimed as f64);
-            max_reclaimed_per_app[i] = max_reclaimed_per_app[i].max(status.cores_reclaimed);
         }
 
         if scenario.stop_when_apps_finish && obs.all_apps_finished {
@@ -442,7 +445,7 @@ pub(crate) fn execute_with_config(
         // time-insensitive actions (e.g. the static-most-approximate ablation's initial
         // pin) must still get their turn even when a run starts in an idle trough; the
         // `Policy` contract requires treating no-signal as neither violation nor slack.
-        let report = monitor.observe_interval(&obs.latency_samples_s);
+        let report = monitor.observe_selected(&obs.latency_samples_s);
         let actions = policy.decide(&report);
         if obs_buf.enabled() {
             // Traced path: record each controller decision and, when the actuator
@@ -498,7 +501,8 @@ pub(crate) fn execute_with_config(
                 finished: state.is_finished(),
                 relative_execution_time: state.relative_execution_time(),
                 inaccuracy_pct: state.inaccuracy_pct(),
-                max_cores_reclaimed: max_reclaimed_per_app[i],
+                // The reclaimed series records every interval's count exactly.
+                max_cores_reclaimed: reclaimed_series[i].max_value().map_or(0, |m| m as u32),
                 instrumentation_overhead: state.profile().instrumentation_overhead,
             }
         })

@@ -17,6 +17,16 @@
 //! sorted-order statistic of the ingested samples by at most one bucket width (~3%
 //! relative; see [`LatencyHistogram::bucket_bounds`]), a bound the integration tests
 //! pin across every service profile.
+//!
+//! An interval is ingested in three steps: [`PerformanceMonitor::select_samples`] draws
+//! the indices the monitor reads (from its own stream, never from sample values), the
+//! selected samples are gathered, and one ingest core estimates the interval from them.
+//! [`PerformanceMonitor::observe_interval`] runs all three over a full sample slice.
+//! Because the indices exist before the samples do, a caller that generates samples can
+//! instead select first, materialise only the selected samples, and hand them to
+//! [`PerformanceMonitor::observe_selected`]: the single-node engine does this, so only
+//! about 5% of an interval's samples (25% when escalated) are ever computed, with the
+//! same reports bit for bit.
 
 use serde::{Deserialize, Serialize};
 
@@ -26,6 +36,10 @@ use pliant_telemetry::rng::seeded_rng;
 use pliant_telemetry::window::EwmaTracker;
 use rand::rngs::SmallRng;
 use rand::Rng;
+
+/// Fewest samples the monitor estimates an interval's tail from: a skip-sampled
+/// subsample smaller than this falls back to reading every sample of the interval.
+const MIN_SAMPLED: usize = 20;
 
 /// Configuration of the performance monitor.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -82,8 +96,9 @@ pub struct MonitorReport {
 /// Serializable snapshot of a monitor's mutable state, for checkpointing.
 ///
 /// The interval histogram is deliberately absent: it describes exactly one interval and
-/// is reset at the start of every [`PerformanceMonitor::observe_interval`], so a restored
-/// monitor reproduces the uninterrupted run bit-for-bit from its next interval onward.
+/// is reset at the start of every ingest ([`PerformanceMonitor::observe_interval`] or
+/// [`PerformanceMonitor::observe_selected`]), so a restored monitor reproduces the
+/// uninterrupted run bit-for-bit from its next interval onward.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MonitorSnapshot {
     /// Sampling-RNG state (wire form; see [`pliant_telemetry::rng::rng_state_words`]).
@@ -97,6 +112,11 @@ pub struct MonitorSnapshot {
 }
 
 /// The performance monitor.
+///
+/// Feed it one interval at a time, either as every sample
+/// ([`Self::observe_interval`]) or as only the samples it selected beforehand
+/// ([`Self::select_samples`] then [`Self::observe_selected`]); both give the same
+/// report and leave the same state.
 #[derive(Debug, Clone)]
 pub struct PerformanceMonitor {
     config: MonitorConfig,
@@ -110,6 +130,8 @@ pub struct PerformanceMonitor {
     base_skip_ln: f64,
     /// `ln(1 - elevated_sample_rate)`, precomputed for geometric skip-sampling.
     elevated_skip_ln: f64,
+    /// Index scratch for [`Self::observe_interval`], reused across intervals.
+    selected: Vec<usize>,
 }
 
 impl PerformanceMonitor {
@@ -124,6 +146,7 @@ impl PerformanceMonitor {
             hist: LatencyHistogram::new(),
             base_skip_ln: (1.0 - config.base_sample_rate).ln(),
             elevated_skip_ln: (1.0 - config.elevated_sample_rate).ln(),
+            selected: Vec::new(),
         }
     }
 
@@ -174,18 +197,96 @@ impl PerformanceMonitor {
 
     /// Ingests one decision interval's end-to-end latency samples and produces the report
     /// the runtime acts on.
+    ///
+    /// This is [`Self::select_samples`] over `latencies_s.len()`, a gather of the
+    /// selected samples, and [`Self::observe_selected`] on them.
     pub fn observe_interval(&mut self, latencies_s: &[f64]) -> MonitorReport {
+        let mut selected = std::mem::take(&mut self.selected);
+        self.select_samples(latencies_s.len(), &mut selected);
+        let report = self.ingest(selected.iter().map(|&i| latencies_s[i]));
+        self.selected = selected;
+        report
+    }
+
+    /// Draws the indices of the samples the monitor reads out of an interval of `n`
+    /// latency samples into `selected` (cleared first), in increasing order.
+    ///
+    /// The indices are the adaptive subsample: every sample at a rate of 1 or more, a
+    /// geometric skip-sample below it. When that subsample holds fewer than 20 samples,
+    /// the monitor falls back to reading all `n`, and `selected` is `0..n`. An
+    /// interval with no samples draws nothing.
+    ///
+    /// The indices come from the monitor's own stream and never depend on sample
+    /// values, so a caller may pick them *before* it generates the interval's samples,
+    /// materialise only those, and hand them to [`Self::observe_selected`]: the report
+    /// and the monitor state are then bit-identical to [`Self::observe_interval`] over
+    /// the full interval.
+    pub fn select_samples(&mut self, n: usize, selected: &mut Vec<usize>) {
+        selected.clear();
+        if n == 0 {
+            return;
+        }
+        // Sized once for the largest interval seen, so warm intervals never allocate.
+        selected.reserve(n);
+        let rate = self.sample_rate();
+        if rate >= 1.0 {
+            selected.extend(0..n);
+        } else if rate > 0.0 {
+            // Geometric skip-sampling: instead of one Bernoulli draw per request, jump
+            // straight to the next selected request. The gap before each selection is
+            // geometric with success probability `rate`, i.e.
+            // `floor(ln(U) / ln(1 - rate))` — one uniform and one (polynomial) log per
+            // *selected* request, ~1/rate times fewer draws than per-request thinning.
+            let ln_one_minus_rate = if self.currently_elevated {
+                self.elevated_skip_ln
+            } else {
+                self.base_skip_ln
+            };
+            let mut index = self.skip(ln_one_minus_rate);
+            while index < n {
+                selected.push(index);
+                index += 1 + self.skip(ln_one_minus_rate);
+            }
+        }
+        // Guard against a tiny subsample (short intervals at low load): read the full
+        // set, which the real monitor would also do by forcing a minimum sample count.
+        if selected.len() < MIN_SAMPLED {
+            selected.clear();
+            selected.extend(0..n);
+        }
+    }
+
+    /// Ingests one interval from only the samples [`Self::select_samples`] picked:
+    /// `selected_s[j]` is the latency of the `j`-th selected index, and an empty slice
+    /// is an interval without samples (no-signal).
+    pub fn observe_selected(&mut self, selected_s: &[f64]) -> MonitorReport {
+        self.ingest(selected_s.iter().copied())
+    }
+
+    /// The one ingest core: estimates the interval's tail and mean from the samples the
+    /// monitor reads and updates the EWMA and the adaptive sampling state.
+    fn ingest(&mut self, selected_s: impl Iterator<Item = f64>) -> MonitorReport {
         self.intervals_observed += 1;
+        // The interval histogram describes *this* interval: an idle interval ingests
+        // nothing, so it reads empty (a stale busy-interval histogram would be
+        // double-counted by per-interval fleet merging). Non-finite samples are clamped
+        // to zero exactly as `LatencyHistogram::record` does, so the ingest boundary is
+        // NaN-free by construction.
+        self.hist.reset();
+        let mut sum = 0.0;
+        let mut sampled = 0u64;
+        for l in selected_s {
+            let l = if l.is_finite() { l } else { 0.0 };
+            self.hist.record(l * 1e6); // microseconds for histogram resolution
+            sum += l;
+            sampled += 1;
+        }
         // An interval without a single request (idle gap / load trough) used to fall
         // through the empty-histogram path as `p99 = 0, slack = 1.0` — maximal headroom
         // out of thin air, driving the controller to relax exactly when it should hold.
         // Report no-signal instead, holding the previous smoothed estimate and leaving
         // the EWMA and the adaptive sampling state untouched.
-        if latencies_s.is_empty() {
-            // The interval histogram describes *this* interval: an idle interval ingested
-            // nothing, so it must read empty (a stale busy-interval histogram would be
-            // double-counted by per-interval fleet merging).
-            self.hist.reset();
+        if sampled == 0 {
             let held = self.ewma.value().unwrap_or(0.0);
             return MonitorReport {
                 p99_s: held,
@@ -197,56 +298,8 @@ impl PerformanceMonitor {
                 no_signal: true,
             };
         }
-        let rate = self.sample_rate();
-        self.hist.reset();
-        let mut sum = 0.0;
-        let mut sampled = 0u64;
-        if rate >= 1.0 {
-            for &l in latencies_s {
-                let l = if l.is_finite() { l } else { 0.0 };
-                self.hist.record(l * 1e6); // microseconds for histogram resolution
-                sum += l;
-                sampled += 1;
-            }
-        } else if rate > 0.0 {
-            // Geometric skip-sampling: instead of one Bernoulli draw per request, jump
-            // straight to the next selected request. The gap before each selection is
-            // geometric with success probability `rate`, i.e.
-            // `floor(ln(U) / ln(1 - rate))` — one uniform and one (polynomial) log per
-            // *selected* request, ~1/rate times fewer draws than per-request thinning.
-            // Statistically identical selection; non-finite samples are clamped to zero
-            // exactly as `LatencyHistogram::record` does, so the ingest boundary is
-            // NaN-free by construction.
-            let ln_one_minus_rate = if self.currently_elevated {
-                self.elevated_skip_ln
-            } else {
-                self.base_skip_ln
-            };
-            let mut index = self.skip(ln_one_minus_rate);
-            while index < latencies_s.len() {
-                let l = latencies_s[index];
-                let l = if l.is_finite() { l } else { 0.0 };
-                self.hist.record(l * 1e6);
-                sum += l;
-                sampled += 1;
-                index += 1 + self.skip(ln_one_minus_rate);
-            }
-        }
-        // Guard against an empty sample (tiny intervals at low load): fall back to the full
-        // set, which the real monitor would also do by forcing a minimum sample count.
-        let (p99_s, mean_s, sampled) = if sampled < 20 {
-            self.hist.reset();
-            let mut full_sum = 0.0;
-            for &l in latencies_s {
-                let l = if l.is_finite() { l } else { 0.0 };
-                self.hist.record(l * 1e6);
-                full_sum += l;
-            }
-            let mean = full_sum / latencies_s.len() as f64;
-            (self.hist.p99() / 1e6, mean, latencies_s.len() as u64)
-        } else {
-            (self.hist.p99() / 1e6, sum / sampled as f64, sampled)
-        };
+        let p99_s = self.hist.p99() / 1e6;
+        let mean_s = sum / sampled as f64;
 
         self.ewma.observe(p99_s);
         let smoothed = self.ewma.value().unwrap_or(p99_s);
@@ -445,5 +498,89 @@ mod tests {
         assert!(r2.smoothed_p99_s < r2.p99_s, "EWMA should lag the jump");
         assert!(r2.smoothed_p99_s > r1.p99_s);
         assert_eq!(monitor.intervals_observed(), 2);
+    }
+
+    /// Drives `observe_interval` on one monitor and select-then-`observe_selected` on a
+    /// twin, requiring the same report bits and the same snapshot after every interval.
+    fn assert_lazy_ingest_matches(config: MonitorConfig, intervals: &[Vec<f64>]) -> usize {
+        let mut full = PerformanceMonitor::new(config, 21);
+        let mut lazy = PerformanceMonitor::new(config, 21);
+        let (mut selected, mut picked) = (Vec::new(), Vec::new());
+        let mut fallbacks = 0;
+        for (k, samples) in intervals.iter().enumerate() {
+            let want = full.observe_interval(samples);
+            lazy.select_samples(samples.len(), &mut selected);
+            assert!(selected.windows(2).all(|w| w[0] < w[1]));
+            assert!(selected.iter().all(|&i| i < samples.len()));
+            fallbacks += usize::from(!samples.is_empty() && selected.len() == samples.len());
+            picked.clear();
+            picked.extend(selected.iter().map(|&i| samples[i]));
+            let got = lazy.observe_selected(&picked);
+            // Debug prints every float in its round-trip form, so equal strings mean
+            // equal bits.
+            assert_eq!(
+                format!("{got:?}"),
+                format!("{want:?}"),
+                "interval {k}: report"
+            );
+            assert_eq!(
+                format!("{:?}", lazy.snapshot()),
+                format!("{:?}", full.snapshot()),
+                "interval {k}: RNG, EWMA or elevation state"
+            );
+            assert_eq!(
+                lazy.interval_histogram().count(),
+                full.interval_histogram().count()
+            );
+        }
+        fallbacks
+    }
+
+    #[test]
+    fn lazy_ingest_matches_observe_interval_bit_for_bit() {
+        let mut corrupted = synthetic_interval(0.004, 0.3, 1_000, 8);
+        for (i, bad) in [(3, f64::NAN), (40, f64::INFINITY), (41, f64::NEG_INFINITY)] {
+            corrupted[i] = bad;
+        }
+        let intervals = vec![
+            synthetic_interval(0.002, 0.3, 1_000, 2),
+            Vec::new(),
+            synthetic_interval(0.0065, 0.3, 1_000, 7), // escalates
+            synthetic_interval(0.0065, 0.3, 1_000, 17),
+            synthetic_interval(0.002, 0.3, 30, 10), // a short subsample: fallback
+            corrupted,
+            vec![f64::NAN, 0.002, f64::INFINITY, 0.003],
+            synthetic_interval(0.002, 0.3, 1, 11),
+            Vec::new(),
+            synthetic_interval(0.012, 0.4, 1_000, 3), // violates
+            synthetic_interval(0.001, 0.3, 19, 12),
+            synthetic_interval(0.001, 0.3, 1_000, 13),
+        ];
+        let base = MonitorConfig::for_qos(0.010);
+        let fallbacks = assert_lazy_ingest_matches(base, &intervals);
+        assert!(fallbacks >= 3, "the short intervals must take the fallback");
+        for rate in [0.0, 1.0] {
+            let fixed = MonitorConfig {
+                base_sample_rate: rate,
+                elevated_sample_rate: rate,
+                ..base
+            };
+            // At either rate every non-empty interval reads every sample.
+            let busy = intervals.iter().filter(|s| !s.is_empty()).count();
+            assert_eq!(assert_lazy_ingest_matches(fixed, &intervals), busy);
+        }
+    }
+
+    #[test]
+    fn selection_draws_nothing_on_an_empty_interval() {
+        let mut monitor = PerformanceMonitor::new(MonitorConfig::for_qos(0.010), 5);
+        let before = format!("{:?}", monitor.snapshot());
+        let mut selected = vec![7];
+        monitor.select_samples(0, &mut selected);
+        assert!(selected.is_empty());
+        assert_eq!(format!("{:?}", monitor.snapshot()), before);
+        let report = monitor.observe_selected(&[]);
+        assert!(report.no_signal);
+        assert_eq!(monitor.intervals_observed(), 1);
     }
 }

@@ -150,6 +150,11 @@ impl Scenario {
                 return Err(ScenarioError::InvalidQosTarget);
             }
         }
+        // Zero samples would make every busy interval a no-signal report, so the
+        // controller would silently never act.
+        if self.samples_per_interval == Some(0) {
+            return Err(ScenarioError::InvalidSamplesPerInterval);
+        }
         if let Some(profile) = &self.load_profile {
             profile
                 .validate()
@@ -243,6 +248,9 @@ pub enum ScenarioError {
     /// The QoS-target override is zero, negative, or not finite (every latency ratio
     /// and slack fraction divides by it).
     InvalidQosTarget,
+    /// The per-interval sample-count override is zero (every busy interval would then
+    /// read as no-signal and the runtime would never act).
+    InvalidSamplesPerInterval,
     /// The load profile failed its own validation.
     InvalidLoadProfile(pliant_workloads::profile::LoadProfileError),
 }
@@ -263,6 +271,9 @@ impl std::fmt::Display for ScenarioError {
             }
             ScenarioError::InvalidQosTarget => {
                 f.write_str("QoS-target override must be positive and finite")
+            }
+            ScenarioError::InvalidSamplesPerInterval => {
+                f.write_str("samples-per-interval override must be positive")
             }
             ScenarioError::InvalidLoadProfile(e) => write!(f, "invalid load profile: {e}"),
         }
@@ -612,6 +623,30 @@ mod tests {
             .expect_err("a scenario violating its invariants must not deserialize");
         assert!(
             err.to_string().contains("approximate application"),
+            "error should carry the validation message, got: {err}"
+        );
+    }
+
+    #[test]
+    fn zero_samples_per_interval_is_rejected_by_the_builder_and_serde() {
+        let err = Scenario::builder(ServiceId::Nginx)
+            .app(AppId::Snp)
+            .samples_per_interval(0)
+            .try_build()
+            .unwrap_err();
+        assert_eq!(err, ScenarioError::InvalidSamplesPerInterval);
+        assert!(err.to_string().contains("samples-per-interval"));
+        let one = Scenario::builder(ServiceId::Nginx)
+            .app(AppId::Snp)
+            .samples_per_interval(1)
+            .build();
+        let json = serde_json::to_string(&one).expect("serializable");
+        let zero = json.replace("\"samples_per_interval\":1", "\"samples_per_interval\":0");
+        assert_ne!(zero, json, "the override must appear in the archive");
+        let err = serde_json::from_str::<Scenario>(&zero)
+            .expect_err("a zero-sample archive must not deserialize");
+        assert!(
+            err.to_string().contains("samples-per-interval"),
             "error should carry the validation message, got: {err}"
         );
     }

@@ -59,6 +59,18 @@ impl LintConfig {
                 "ziggurat_normal",
                 "ziggurat_slow_path",
                 "fast_exp_in_range",
+                // The lazy single-node interval: the monitor selects the samples it
+                // will read, the simulator materialises only those (an unread slot
+                // is one draw and one integer compare), and the monitor ingests them
+                // through the same core `observe_interval` uses.
+                "PerformanceMonitor::select_samples",
+                "PerformanceMonitor::observe_selected",
+                "PerformanceMonitor::ingest",
+                "ColocationSim::advance_selected",
+                "ColocationSim::advance_with",
+                "LatencyModel::sample_selected_latencies_into",
+                "fill_selected_lognormals",
+                "ziggurat_skip",
                 // The hyperscale grouped-dispatch path (PR 7): runs once per interval
                 // on clustered fleets whose logical size can reach 100k nodes, and the
                 // per-sample replication inside ClusterNode::step.

@@ -240,6 +240,56 @@ fn two_pass_sampler_stays_on_the_hot_path_denylist() {
     }
 }
 
+/// The lazy single-node interval runs once per busy interval of every engine run:
+/// the monitor's selection and ingest, the simulator's selected advance, and the
+/// selected-slots sampler with its per-slot skip, so all stay on the denylist.
+#[test]
+fn lazy_sample_path_stays_on_the_hot_path_denylist() {
+    let cfg = LintConfig::repo_default();
+    for (hot, path) in [
+        (
+            "PerformanceMonitor::select_samples",
+            "crates/core/src/monitor.rs",
+        ),
+        (
+            "PerformanceMonitor::observe_selected",
+            "crates/core/src/monitor.rs",
+        ),
+        ("PerformanceMonitor::ingest", "crates/core/src/monitor.rs"),
+        (
+            "ColocationSim::advance_selected",
+            "crates/sim/src/colocation.rs",
+        ),
+        (
+            "ColocationSim::advance_with",
+            "crates/sim/src/colocation.rs",
+        ),
+        (
+            "LatencyModel::sample_selected_latencies_into",
+            "crates/sim/src/queueing.rs",
+        ),
+        ("fill_selected_lognormals", "crates/telemetry/src/rng.rs"),
+        ("ziggurat_skip", "crates/telemetry/src/rng.rs"),
+    ] {
+        assert!(
+            cfg.hot_path_fns.iter().any(|f| f == hot),
+            "{hot} must stay on the hot-path-alloc denylist"
+        );
+        let src = match hot.split_once("::") {
+            Some((ty, name)) => {
+                format!("impl {ty} {{ fn {name}(&mut self) {{ let v = vec![0u8; 4]; }} }}")
+            }
+            None => format!("fn {hot}(x: f64) -> f64 {{ let v = vec![x; 4]; v[0] }}"),
+        };
+        let findings = lint_source(path, &src, &cfg);
+        assert!(
+            findings.iter().any(|f| f.rule == "hot-path-alloc"),
+            "a vec![..] inside {hot} must be flagged, got:\n{}",
+            render(&findings)
+        );
+    }
+}
+
 /// The benchmark harnesses measure wall and CPU time by design and may read the
 /// clock; every library path stays under the nondeterminism rule.
 #[test]

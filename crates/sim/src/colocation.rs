@@ -155,7 +155,9 @@ pub struct IntervalObservation {
     pub p99_latency_s: f64,
     /// The service's QoS target, in seconds.
     pub qos_target_s: f64,
-    /// Raw latency samples for the performance monitor (client-side sampling).
+    /// Raw latency samples for the performance monitor (client-side sampling): every
+    /// sample of the interval from [`ColocationSim::advance_reusing`], or only the
+    /// selected ones, in index order, from [`ColocationSim::advance_selected`].
     pub latency_samples_s: Vec<f64>,
     /// Utilization of the interactive service during the interval.
     pub utilization: f64,
@@ -222,6 +224,9 @@ pub struct ColocationSim {
     degrade: f64,
     /// Scratch buffer for per-app interference pressures, reused across intervals.
     pressure_scratch: Vec<ResourcePressure>,
+    /// Indices of the latency samples a reader selected (see
+    /// [`Self::advance_selected`]), reused across intervals.
+    selected: Vec<usize>,
 }
 
 /// Serializable snapshot of a [`ColocationSim`]'s full mutable state, for checkpointing.
@@ -320,6 +325,7 @@ impl ColocationSim {
             parked: false,
             degrade: 1.0,
             pressure_scratch: Vec::new(),
+            selected: Vec::new(),
         }
     }
 
@@ -609,6 +615,40 @@ impl ColocationSim {
         dt: f64,
         recycle: Option<IntervalObservation>,
     ) -> IntervalObservation {
+        self.advance_with(dt, recycle, None::<fn(usize, &mut Vec<usize>)>)
+    }
+
+    /// Advances one decision interval like [`Self::advance_reusing`], but materialises
+    /// only the latency samples a reader selects.
+    ///
+    /// When the interval has arrivals, `select(n, indices)` is called once with the
+    /// interval's sample count `n` and must fill `indices` with the strictly increasing
+    /// indices it will read (indices at or past `n` are ignored); on an idle interval
+    /// it is not called. The observation's `latency_samples_s` then holds exactly the
+    /// selected samples, in index order, bit for bit as [`Self::advance_reusing`] would
+    /// have delivered them at those indices. The unread samples only advance the sample
+    /// stream (one draw and one integer compare each), so every RNG stream, and with it
+    /// every later interval, is the same as on the full path.
+    ///
+    /// The performance monitor's `PerformanceMonitor::select_samples` (in
+    /// `pliant-core`) is the intended selector: its indices come from its own stream
+    /// and never depend on sample values.
+    pub fn advance_selected(
+        &mut self,
+        dt: f64,
+        recycle: Option<IntervalObservation>,
+        select: impl FnOnce(usize, &mut Vec<usize>),
+    ) -> IntervalObservation {
+        self.advance_with(dt, recycle, Some(select))
+    }
+
+    /// One interval; `select` picks the samples to materialise (`None` = all of them).
+    fn advance_with(
+        &mut self,
+        dt: f64,
+        recycle: Option<IntervalObservation>,
+        select: Option<impl FnOnce(usize, &mut Vec<usize>)>,
+    ) -> IntervalObservation {
         assert!(dt > 0.0, "interval must be positive");
         let (mut samples, mut app_statuses) = match recycle {
             Some(obs) => (obs.latency_samples_s, obs.apps),
@@ -670,13 +710,30 @@ impl ColocationSim {
         // the runtime holds) instead of fabricating `samples_per_interval` synthetic
         // low-latency samples that would read as maximal headroom at a load trough.
         if arrivals > 0 {
-            self.config.latency.sample_latencies_into(
-                &self.config.service,
-                p99,
-                self.config.samples_per_interval,
-                &mut self.sample_rng,
-                &mut samples,
-            );
+            let n = self.config.samples_per_interval;
+            match select {
+                None => self.config.latency.sample_latencies_into(
+                    &self.config.service,
+                    p99,
+                    n,
+                    &mut self.sample_rng,
+                    &mut samples,
+                ),
+                Some(select) => {
+                    select(n, &mut self.selected);
+                    // Sized for the full interval once, as on the full path, so a
+                    // larger selection later (an escalated monitor) never reallocates.
+                    samples.reserve(n);
+                    self.config.latency.sample_selected_latencies_into(
+                        &self.config.service,
+                        p99,
+                        n,
+                        &self.selected,
+                        &mut self.sample_rng,
+                        &mut samples,
+                    );
+                }
+            }
         }
         let utilization = LatencyModel::utilization(&self.config.service, &inputs);
 
@@ -1044,6 +1101,54 @@ mod tests {
                 .collect()
         };
         assert_eq!(run(true), run(false));
+    }
+
+    #[test]
+    fn advance_selected_delivers_the_selected_samples_of_the_full_interval() {
+        // Busy, idle and busy again, with a different selection every interval: the
+        // lazy run must deliver exactly the selected samples, select only on busy
+        // intervals, and keep every stream in lockstep with the full run.
+        let profile = LoadProfile::Trace {
+            points: vec![(0.0, 0.8), (3.0, 0.8), (4.0, 0.0), (6.0, 0.0), (7.0, 0.8)],
+        };
+        let cfg = ColocationConfig::paper_default(ServiceId::Nginx, &[AppId::Canneal], 5)
+            .with_load_profile(profile);
+        let mut full = ColocationSim::new(cfg.clone(), &catalog());
+        let mut lazy = ColocationSim::new(cfg, &catalog());
+        let (mut full_obs, mut lazy_obs) = (None, None);
+        let mut idle = 0;
+        for k in 0..12usize {
+            let f = full.advance_reusing(1.0, full_obs.take());
+            let mut asked = None;
+            let l = lazy.advance_selected(1.0, lazy_obs.take(), |n, selected| {
+                asked = Some(n);
+                selected.clear();
+                selected.extend((k % 3..n).step_by(7 + k));
+                selected.push(n + 3); // past the end: ignored
+            });
+            if f.arrivals == 0 {
+                idle += 1;
+                assert_eq!(asked, None, "interval {k}: idle intervals select nothing");
+                assert!(l.latency_samples_s.is_empty());
+            } else {
+                assert_eq!(asked, Some(1_000));
+                let want: Vec<u64> = (k % 3..1_000)
+                    .step_by(7 + k)
+                    .map(|i| f.latency_samples_s[i].to_bits())
+                    .collect();
+                let got: Vec<u64> = l.latency_samples_s.iter().map(|x| x.to_bits()).collect();
+                assert_eq!(got, want, "interval {k}: selected samples");
+            }
+            assert_eq!(l.p99_latency_s.to_bits(), f.p99_latency_s.to_bits());
+            assert_eq!(l.energy_j.to_bits(), f.energy_j.to_bits());
+            let (fs, ls) = (full.snapshot(), lazy.snapshot());
+            assert_eq!(ls.sample_rng, fs.sample_rng, "interval {k}: sample stream");
+            assert_eq!(ls.rng, fs.rng);
+            assert_eq!(ls.generator_rng, fs.generator_rng);
+            full_obs = Some(f);
+            lazy_obs = Some(l);
+        }
+        assert!(idle > 0, "the trough must idle the node");
     }
 
     #[test]

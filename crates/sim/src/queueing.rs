@@ -10,7 +10,9 @@
 
 use rand::rngs::SmallRng;
 
-use pliant_telemetry::rng::{fill_lognormals, sample_lognormal, seeded_rng};
+use pliant_telemetry::rng::{
+    fill_lognormals, fill_selected_lognormals, sample_lognormal, seeded_rng,
+};
 use pliant_workloads::service::ServiceProfile;
 
 use serde::{Deserialize, Serialize};
@@ -136,9 +138,37 @@ impl LatencyModel {
         rng: &mut SmallRng,
         out: &mut Vec<f64>,
     ) {
-        let sigma = service.service_time_sigma.max(0.05);
-        let median = p99_target / (sigma * Z99).exp();
+        let (median, sigma) = Self::sample_shape(service, p99_target);
         fill_lognormals(rng, median, sigma, n, out);
+    }
+
+    /// Clears `out` and fills it with only the samples at the `selected` indices
+    /// (strictly increasing; indices at or past `n` are ignored) of the `n`-sample
+    /// interval [`Self::sample_latencies_into`] would generate.
+    ///
+    /// The values are those samples bit for bit, and `rng` advances exactly as it would
+    /// for the full interval, so a reader that needs only a few samples (the monitor's
+    /// subsample) gets them without the cost of the rest: an unread sample costs one
+    /// RNG draw and one integer compare (see
+    /// [`pliant_telemetry::rng::fill_selected_lognormals`]).
+    pub fn sample_selected_latencies_into(
+        &self,
+        service: &ServiceProfile,
+        p99_target: f64,
+        n: usize,
+        selected: &[usize],
+        rng: &mut SmallRng,
+        out: &mut Vec<f64>,
+    ) {
+        let (median, sigma) = Self::sample_shape(service, p99_target);
+        fill_selected_lognormals(rng, median, sigma, n, selected, out);
+    }
+
+    /// The lognormal `(median, sigma)` whose p99 is `p99_target`, in the service's
+    /// shape.
+    fn sample_shape(service: &ServiceProfile, p99_target: f64) -> (f64, f64) {
+        let sigma = service.service_time_sigma.max(0.05);
+        (p99_target / (sigma * Z99).exp(), sigma)
     }
 
     /// Convenience helper: p99 and monitor samples for one interval, deterministic in the

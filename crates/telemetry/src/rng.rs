@@ -134,15 +134,23 @@ const ZIG_R: f64 = 3.654_152_885_361_009;
 /// Common area of every ziggurat region (rectangle or base strip plus tail).
 const ZIG_V: f64 = 4.928_673_233_974_655e-3;
 
-/// Precomputed ziggurat edges `x[i]` and densities `f[i] = exp(-x[i]^2 / 2)`.
+/// Precomputed ziggurat edges `x[i]`, densities `f[i] = exp(-x[i]^2 / 2)`, and integer
+/// accept thresholds `k[i]`.
 struct ZigTables {
     x: [f64; ZIG_LAYERS + 1],
     f: [f64; ZIG_LAYERS + 1],
+    /// `k[i]` is the smallest 53-bit draw `m` whose candidate `unit(m) * x[i]` is *not*
+    /// below `x[i + 1]`: a draw is accepted on the inner rectangle exactly when
+    /// `m < k[i]`. The float test is monotone in `m` (the conversion to a unit is exact
+    /// and a rounded multiply by a positive `x[i]` never decreases), so the accepted
+    /// draws form the prefix `[0, k[i])` and one integer compare decides it.
+    k: [u64; ZIG_LAYERS],
 }
 
 /// Builds the ziggurat tables once per process via the standard downward recurrence
 /// `x[i] = f^-1(V / x[i-1] + f(x[i-1]))`; `x[0]` is the base strip's pseudo-edge
-/// `V / f(R)` (> R) so one uniform draw covers both the strip and the tail branch.
+/// `V / f(R)` (> R) so one uniform draw covers both the strip and the tail branch. Each
+/// accept threshold `k[i]` is found by binary search over the float test itself.
 fn zig_tables() -> &'static ZigTables {
     static TABLES: OnceLock<ZigTables> = OnceLock::new();
     TABLES.get_or_init(|| {
@@ -158,8 +166,36 @@ fn zig_tables() -> &'static ZigTables {
         for i in 0..=ZIG_LAYERS {
             f[i] = pdf(x[i]);
         }
-        ZigTables { x, f }
+        let mut k = [0u64; ZIG_LAYERS];
+        for (i, k) in k.iter_mut().enumerate() {
+            // The first rejected draw, by bisection over `[0, 2^53]` (`unit(2^53) = 1`
+            // gives `x[i]`, which is not below `x[i + 1]`).
+            let (mut lo, mut hi) = (0u64, 1u64 << 53);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if inner_accepts(x[i], x[i + 1], mid) {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            *k = lo;
+        }
+        ZigTables { x, f, k }
     })
+}
+
+/// The unit uniform of a 53-bit draw `m` (exact: every such integer is an `f64`).
+#[inline(always)]
+fn unit(m: u64) -> f64 {
+    m as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// The ziggurat's inner-rectangle test for a 53-bit draw `m` on a layer with edge
+/// `x_i` under the next edge `x_next`, exactly as the sampler evaluates it.
+#[inline(always)]
+fn inner_accepts(x_i: f64, x_next: f64, m: u64) -> bool {
+    unit(m) * x_i < x_next
 }
 
 /// Samples a standard normal variate with the 256-layer ziggurat algorithm
@@ -198,8 +234,19 @@ fn ziggurat_normal<R: Rng + ?Sized>(t: &ZigTables, rng: &mut R) -> f64 {
 fn ziggurat_candidate(t: &ZigTables, bits: u64) -> (usize, f64, f64) {
     let i = (bits & 0xff) as usize;
     let sign = if bits & 0x100 == 0 { 1.0 } else { -1.0 };
-    let u = (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-    (i, sign, u * t.x[i])
+    (i, sign, unit(bits >> 11) * t.x[i])
+}
+
+/// Advances `rng` past one ziggurat normal without computing it: the draws are exactly
+/// those of [`ziggurat_normal`], but the common case is one draw and one integer
+/// compare against the layer's accept threshold. A miss runs the shared slow path and
+/// discards its value.
+#[inline(always)]
+fn ziggurat_skip<R: Rng + ?Sized>(t: &ZigTables, rng: &mut R) {
+    let bits: u64 = rng.gen();
+    if bits >> 11 >= t.k[(bits & 0xff) as usize] {
+        ziggurat_slow_path(t, rng, bits);
+    }
 }
 
 /// The ziggurat's rare case (~1–2% of draws), starting from a first draw `bits` whose
@@ -276,6 +323,14 @@ pub fn fill_lognormals<R: Rng + ?Sized>(
     out.clear();
     out.reserve(n);
     out.extend((0..n).map(|_| sigma * ziggurat_normal(t, rng)));
+    exp_pass(median, out);
+}
+
+/// The second pass of the batch samplers: turns every `sigma * z` in `out` into
+/// `median * exp(sigma * z)`, through the branch-free [`fast_exp_in_range`] when every
+/// slot is in its range and through [`fast_exp`] otherwise (the same bits either way).
+#[inline(always)]
+fn exp_pass(median: f64, out: &mut [f64]) {
     // Not `all`: a non-short-circuiting fold vectorizes, and NaN compares false.
     let in_range = out
         .iter()
@@ -289,6 +344,57 @@ pub fn fill_lognormals<R: Rng + ?Sized>(
             *x = median * fast_exp(*x);
         }
     }
+}
+
+/// Clears `out` and fills it with the lognormal samples of the slots listed in
+/// `selected` out of an `n`-slot batch: `out[j]` is bit for bit the value
+/// [`fill_lognormals`] would put in slot `selected[j]`, and `rng` ends in the same
+/// state, draw for draw.
+///
+/// `selected` must be strictly increasing; indices at or past `n` are ignored. This is
+/// the sampler for readers that look at a few slots of a batch, such as a monitor that
+/// subsamples 5% of an interval's requests. Every slot still consumes its draws, so the
+/// stream stays in lockstep with the full batch:
+///
+/// - an **unread** slot costs one `u64` draw and one integer compare against the
+///   layer's accept threshold (the rare miss runs the ziggurat slow path and drops its
+///   value);
+/// - a **read** slot stores `sigma * z` for its ziggurat normal `z`, and the read
+///   values then take [`fill_lognormals`]'s second pass (`median * exp`, vectorized
+///   when every value is in [`fast_exp_in_range`]'s range).
+///
+/// # Panics
+///
+/// Panics if `median` is not strictly positive or `sigma` is negative.
+pub fn fill_selected_lognormals<R: Rng + ?Sized>(
+    rng: &mut R,
+    median: f64,
+    sigma: f64,
+    n: usize,
+    selected: &[usize],
+    out: &mut Vec<f64>,
+) {
+    assert!(median > 0.0, "lognormal median must be positive");
+    assert!(sigma >= 0.0, "lognormal sigma must be non-negative");
+    let t = zig_tables();
+    out.clear();
+    out.reserve(selected.len().min(n));
+    let mut slot = 0;
+    for &read in selected {
+        if read >= n {
+            break;
+        }
+        debug_assert!(read >= slot, "selected slots must be strictly increasing");
+        for _ in slot..read {
+            ziggurat_skip(t, rng);
+        }
+        out.push(sigma * ziggurat_normal(t, rng));
+        slot = read + 1;
+    }
+    for _ in slot..n {
+        ziggurat_skip(t, rng);
+    }
+    exp_pass(median, out);
 }
 
 /// Samples a bounded Pareto variate with shape `alpha` on `[min, max]`.
@@ -413,6 +519,27 @@ mod tests {
         }
         assert_eq!(t.x[ZIG_LAYERS], 0.0);
         assert_eq!(t.f[ZIG_LAYERS], 1.0);
+    }
+
+    #[test]
+    fn accept_thresholds_split_every_layer_exactly_where_the_float_test_does() {
+        let t = zig_tables();
+        for i in 0..ZIG_LAYERS {
+            let k = t.k[i];
+            let accepts = |m: u64| inner_accepts(t.x[i], t.x[i + 1], m);
+            assert!(
+                k < 1 << 53,
+                "layer {i}: threshold {k} past the 53-bit draws"
+            );
+            assert!(!accepts(k), "layer {i}: draw {k} must be rejected");
+            if k > 0 {
+                assert!(accepts(k - 1), "layer {i}: draw {} must be accepted", k - 1);
+            }
+        }
+        // The top layer sits on x = 0 and never accepts; every other layer accepts
+        // most of its draws.
+        assert_eq!(t.k[ZIG_LAYERS - 1], 0);
+        assert!(t.k[..ZIG_LAYERS - 1].iter().all(|&k| k > 1 << 51));
     }
 
     #[test]

@@ -407,3 +407,57 @@ fn parallel_fleet_steps_allocate_no_more_than_serial_once_warm() {
          of 8 intervals (excess per window: {excess:?})"
     );
 }
+
+// ---------------------------------------------------------------------------
+// 6. The lazy single-node interval: the monitor selects into the simulator's index
+//    buffer and ingests only the selected samples. Both buffers are sized for the
+//    full interval on the first busy one, so warm intervals allocate nothing, idle
+//    troughs, escalated sampling and the full-ingest fallback included.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn warm_lazy_intervals_are_allocation_free() {
+    let _exclusive = exclusive();
+    let catalog = Catalog::default();
+    let profile = LoadProfile::Trace {
+        points: vec![(0.0, 0.9), (6.0, 0.9), (7.0, 0.0), (9.0, 0.0), (10.0, 0.9)],
+    };
+    let mut cfg = ColocationConfig::paper_default(ServiceId::Memcached, &[AppId::Canneal], 31)
+        .with_load_profile(profile);
+    // 5% of 100 samples is below the monitor's 20-sample floor, so relaxed intervals
+    // take the full-ingest fallback and escalated (25%) ones usually do not.
+    cfg.samples_per_interval = 100;
+    let qos = cfg.service.qos_target_s;
+    let mut sim = ColocationSim::new(cfg, &catalog);
+    let mut monitor = PerformanceMonitor::new(MonitorConfig::for_qos(qos), 9);
+    let mut step = |recycled: Option<_>, rates: &mut Vec<f64>| {
+        rates.push(monitor.sample_rate());
+        let obs = sim.advance_selected(1.0, recycled, |n, s| monitor.select_samples(n, s));
+        let report = monitor.observe_selected(&obs.latency_samples_s);
+        (obs, report)
+    };
+    let mut rates = Vec::with_capacity(64);
+    let (mut obs, _) = step(None, &mut rates);
+    let mut reports = Vec::with_capacity(64);
+    let allocations = allocations_during(|| {
+        for _ in 0..24 {
+            let (next, report) = step(Some(obs), &mut rates);
+            reports.push(report);
+            obs = next;
+        }
+    });
+    assert_eq!(allocations, 0, "a warm lazy interval must not allocate");
+    assert!(reports.iter().any(|r| r.no_signal), "the trough must idle");
+    assert!(
+        reports.iter().any(|r| r.sampled == 100),
+        "some must fall back"
+    );
+    assert!(
+        reports.iter().any(|r| !r.no_signal && r.sampled < 100),
+        "some must subsample"
+    );
+    assert!(
+        rates.contains(&0.05) && rates.contains(&0.25),
+        "memcached at 90% load beside canneal must escalate and relax ({rates:?})"
+    );
+}
