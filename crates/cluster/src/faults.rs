@@ -461,7 +461,7 @@ pub(crate) fn compile_schedule(
         });
     }
     for outage in &profile.group_outages {
-        for &member in &population.groups()[outage.group].members {
+        for member in population.groups()[outage.group].members.iter() {
             schedule.push(FaultEvent {
                 interval: outage.at_interval,
                 node: member,
@@ -471,7 +471,7 @@ pub(crate) fn compile_schedule(
         }
     }
     for outage in &profile.rack_outages {
-        for &member in &topology.racks()[outage.rack].members {
+        for member in topology.racks()[outage.rack].members.clone() {
             schedule.push(FaultEvent {
                 interval: outage.at_interval,
                 node: member,
@@ -484,14 +484,44 @@ pub(crate) fn compile_schedule(
     schedule
 }
 
-/// Marks which logical nodes the schedule ever touches (the nodes the clustered
-/// approximation must simulate exactly rather than fold into a replica group).
-pub(crate) fn faulted_logical_nodes(schedule: &[FaultEvent], nodes: usize) -> Vec<bool> {
-    let mut faulted = vec![false; nodes];
-    for event in schedule {
-        faulted[event.node] = true;
-    }
+/// The logical nodes the schedule ever touches, ascending and unique (the nodes the
+/// clustered approximation must simulate exactly rather than fold into a replica
+/// group).
+pub(crate) fn faulted_logical_nodes(schedule: &[FaultEvent]) -> Vec<usize> {
+    let mut faulted: Vec<usize> = schedule.iter().map(|event| event.node).collect();
+    faulted.sort_unstable();
+    faulted.dedup();
     faulted
+}
+
+/// Logical node → the simulated instance carrying it exactly (a weight-1 instance), as
+/// a sparse map sorted by node: one entry per weight-1 instance, none per logical node.
+/// Fault events look their target up here by binary search.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct InstanceIndex {
+    entries: Vec<(usize, usize)>,
+}
+
+impl InstanceIndex {
+    /// Indexes the weight-1 instances of `plans` (instance `i` is `plans[i]`).
+    pub fn new(plans: &[InstancePlan]) -> Self {
+        let mut entries: Vec<(usize, usize)> = plans
+            .iter()
+            .enumerate()
+            .filter(|(_, plan)| plan.replicas == 1)
+            .map(|(index, plan)| (plan.seed_member, index))
+            .collect();
+        entries.sort_unstable();
+        InstanceIndex { entries }
+    }
+
+    /// The instance simulating logical node `node` exactly, if any.
+    pub fn get(&self, node: usize) -> Option<usize> {
+        self.entries
+            .binary_search_by_key(&node, |&(member, _)| member)
+            .ok()
+            .map(|at| self.entries[at].1)
+    }
 }
 
 /// Health of one simulated node instance.
@@ -553,7 +583,7 @@ pub(crate) struct FaultState {
     /// Next unconsumed schedule entry.
     pub cursor: usize,
     /// Logical node → simulated instance carrying it exactly (weight-1), if any.
-    pub instance_of: Vec<Option<usize>>,
+    pub instance_of: InstanceIndex,
     /// Per-instance health.
     pub health: Vec<NodeHealth>,
     /// Crash events applied.
@@ -573,17 +603,11 @@ impl FaultState {
     /// instance is addressable by its logical node (in exact mode that is every node;
     /// under the clustered approximation the isolating planner guarantees every faulted
     /// node got a weight-1 instance).
-    pub fn new(schedule: Vec<FaultEvent>, logical_nodes: usize, plans: &[InstancePlan]) -> Self {
-        let mut instance_of = vec![None; logical_nodes];
-        for (index, plan) in plans.iter().enumerate() {
-            if plan.replicas == 1 {
-                instance_of[plan.seed_member] = Some(index);
-            }
-        }
+    pub fn new(schedule: Vec<FaultEvent>, plans: &[InstancePlan]) -> Self {
         FaultState {
             schedule,
             cursor: 0,
-            instance_of,
+            instance_of: InstanceIndex::new(plans),
             health: vec![NodeHealth::Up; plans.len()],
             crashes: 0,
             degradations: 0,
@@ -746,8 +770,7 @@ mod tests {
         assert!(schedule
             .iter()
             .all(|e| e.interval == 7 && e.duration == 3 && e.kind == FaultKind::Crash));
-        let faulted = faulted_logical_nodes(&schedule, 7);
-        assert_eq!(faulted, vec![true, false, false, true, false, false, true]);
+        assert_eq!(faulted_logical_nodes(&schedule), vec![0, 3, 6]);
     }
 
     #[test]
@@ -862,8 +885,9 @@ mod tests {
         let pop = population(4);
         let schedule = compile_schedule(&profile, 42, &pop, &flat(4), 20);
         let plans = pop.plan_instances(&crate::scenario::FleetApproximation::Exact);
-        let mut state = FaultState::new(schedule, 4, &plans);
-        assert_eq!(state.instance_of, vec![Some(0), Some(1), Some(2), Some(3)]);
+        let mut state = FaultState::new(schedule, &plans);
+        assert!((0..4).all(|node| state.instance_of.get(node) == Some(node)));
+        assert_eq!(state.instance_of.get(4), None);
         state.cursor = 1;
         state.health[2] = NodeHealth::Down { until: 7 };
         state.crashes = 1;
@@ -873,7 +897,7 @@ mod tests {
         let back: FaultStateSnapshot = serde_json::from_str(&json).expect("deserializable");
         assert_eq!(back, snap);
         let schedule = compile_schedule(&profile, 42, &pop, &flat(4), 20);
-        let mut fresh = FaultState::new(schedule, 4, &plans);
+        let mut fresh = FaultState::new(schedule, &plans);
         fresh.restore(&back).expect("restorable");
         assert_eq!(fresh.cursor, 1);
         assert_eq!(fresh.health[2], NodeHealth::Down { until: 7 });

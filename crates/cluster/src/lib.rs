@@ -73,11 +73,11 @@ pub use balancer::{BalancerKind, LoadBalancer};
 pub use engine::{ClusterEngineExt, ClusterRun, ClusterRunCheckpoint};
 pub use faults::{
     FaultKind, FaultProfile, FaultProfileError, FaultStateSnapshot, FaultStats, GroupOutage,
-    NodeHealth, RackOutage, ScheduledFault,
+    InstanceIndex, NodeHealth, RackOutage, ScheduledFault,
 };
 pub use node::{ClusterNode, NodeCheckpoint, NodeInterval, NodeSnapshot};
 pub use outcome::{machines_needed, ClusterOutcome, NodeOutcome};
-pub use population::{InstancePlan, NodeGroup, NodePopulation};
+pub use population::{InstancePlan, Members, NodeGroup, NodePopulation};
 pub use scenario::{
     ClusterScenario, ClusterScenarioBuilder, ClusterScenarioError, FleetApproximation,
 };

@@ -167,9 +167,11 @@ impl ClusterScenario {
         self.horizon.max_intervals(self.decision_interval_s)
     }
 
-    /// Jobs needed to fill every slot of every node at start.
+    /// Jobs needed to fill every slot of every node at start. Saturates at
+    /// `usize::MAX` on a fleet whose slot count overflows, which
+    /// [`Self::validate`] rejects.
     pub fn initial_job_count(&self) -> usize {
-        self.nodes * self.slots_per_node
+        self.nodes.saturating_mul(self.slots_per_node)
     }
 
     /// Checks the same invariants [`ClusterScenarioBuilder::try_build`] enforces.
@@ -183,9 +185,15 @@ impl ClusterScenario {
         if self.slots_per_node == 0 {
             return Err(ClusterScenarioError::NoSlots);
         }
-        if self.jobs.len() < self.initial_job_count() {
+        let needed = self.nodes.checked_mul(self.slots_per_node).ok_or(
+            ClusterScenarioError::SlotCountOverflow {
+                nodes: self.nodes,
+                slots_per_node: self.slots_per_node,
+            },
+        )?;
+        if self.jobs.len() < needed {
             return Err(ClusterScenarioError::NotEnoughJobs {
-                needed: self.initial_job_count(),
+                needed,
                 got: self.jobs.len(),
             });
         }
@@ -245,10 +253,13 @@ impl ClusterScenario {
             .map_err(ClusterScenarioError::InvalidTopology)?;
         if let Some(profile) = &self.fault_profile {
             // Group-outage targets are indices into the node population, which (after
-            // the job-count check above) is well-defined and cheap to derive here.
-            let groups = crate::population::NodePopulation::from_scenario(self)
-                .groups()
-                .len();
+            // the job-count and topology checks above) is well-defined. Only group
+            // outages need the group count, so a profile without them skips the scan.
+            let groups = if profile.group_outages.is_empty() {
+                0
+            } else {
+                crate::population::NodePopulation::count_groups(self)
+            };
             profile
                 .validate(self.nodes, groups, self.topology.rack_count())
                 .map_err(ClusterScenarioError::InvalidFaultProfile)?;
@@ -344,6 +355,13 @@ pub enum ClusterScenarioError {
     NoNodes,
     /// Nodes have no batch slots.
     NoSlots,
+    /// `nodes × slots_per_node` does not fit in a `usize`.
+    SlotCountOverflow {
+        /// Nodes in the fleet.
+        nodes: usize,
+        /// Batch slots per node.
+        slots_per_node: usize,
+    },
     /// Fewer jobs than fleet slots: every node needs at least one job per slot to form
     /// a co-location.
     NotEnoughJobs {
@@ -397,6 +415,13 @@ impl std::fmt::Display for ClusterScenarioError {
             ClusterScenarioError::NoSlots => {
                 f.write_str("nodes need at least one batch slot")
             }
+            ClusterScenarioError::SlotCountOverflow {
+                nodes,
+                slots_per_node,
+            } => write!(
+                f,
+                "{nodes} nodes x {slots_per_node} slots overflows the slot count"
+            ),
             ClusterScenarioError::NotEnoughJobs { needed, got } => write!(
                 f,
                 "cluster needs at least {needed} jobs to fill every node slot, got {got}"

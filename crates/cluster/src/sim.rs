@@ -200,9 +200,9 @@ impl ClusterSim {
             panic!("invalid cluster scenario `{}`: {e}", scenario.describe());
         }
         let initial = scenario.initial_job_count();
-        let population = NodePopulation::from_scenario(scenario);
-        let clustered = scenario.approximation.is_clustered();
         let topology = Topology::resolve(&scenario.topology, scenario.nodes);
+        let population = NodePopulation::with_topology(scenario, &topology);
+        let clustered = scenario.approximation.is_clustered();
         let fault_schedule = scenario
             .fault_profile
             .as_ref()
@@ -219,9 +219,9 @@ impl ClusterSim {
         // Faulted logical nodes must be simulated exactly: carve them out of their
         // replica groups so a crash takes down one node, not every node it stood for.
         let plans = match &fault_schedule {
-            Some(schedule) if clustered => population.plan_instances_isolating(
+            Some(schedule) if clustered => population.plan_instances_isolating_nodes(
                 &scenario.approximation,
-                &faults::faulted_logical_nodes(schedule, population.total_nodes()),
+                &faults::faulted_logical_nodes(schedule),
             ),
             _ => population.plan_instances(&scenario.approximation),
         };
@@ -304,8 +304,7 @@ impl ClusterSim {
         let autoscaler = scenario
             .autoscaler
             .map(|config| Autoscaler::for_instances(config, replica_weights.clone()));
-        let faults = fault_schedule
-            .map(|schedule| FaultState::new(schedule, population.total_nodes(), &plans));
+        let faults = fault_schedule.map(|schedule| FaultState::new(schedule, &plans));
         Self {
             scenario: scenario.clone(),
             catalog: catalog.clone(),
@@ -619,7 +618,7 @@ impl ClusterSim {
         {
             let event = faults.schedule[faults.cursor];
             faults.cursor += 1;
-            let Some(instance) = faults.instance_of[event.node] else {
+            let Some(instance) = faults.instance_of.get(event.node) else {
                 continue;
             };
             if faults.health[instance] != NodeHealth::Up {

@@ -12,8 +12,9 @@
 //!   (the default — one implicit rack holding every node, no budget, byte-identical to
 //!   the pre-topology simulator) or [`TopologyConfig::Racks`] (a regular `racks ×
 //!   nodes_per_rack` grid with an optional shared per-rack power budget).
-//! * [`Topology`] is the resolved, run-time form: rack membership lists plus a
-//!   node → rack inverse map, built once per run by [`Topology::resolve`].
+//! * [`Topology`] is the resolved, run-time form built once per run by
+//!   [`Topology::resolve`]: one contiguous member range per rack, and an arithmetic
+//!   node → rack map, so it costs nothing per logical node.
 //!
 //! Rack identity feeds three consumers: the scheduler's sampling-based online
 //! placement (score candidate racks by power headroom and QoS slack before picking a
@@ -21,6 +22,8 @@
 //! (power-domain failures — see [`crate::faults::RackOutage`]), and the clustered
 //! approximation's population grouping (replicas never span power domains — see
 //! [`crate::population`]).
+
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
@@ -193,21 +196,26 @@ impl std::fmt::Display for TopologyConfigError {
 
 impl std::error::Error for TopologyConfigError {}
 
-/// One rack of the resolved topology: a membership list plus the shared budget.
+/// One rack of the resolved topology: a contiguous block of logical nodes plus the
+/// shared budget.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Rack {
-    /// Logical node indices living in this rack, in ascending order.
-    pub members: Vec<usize>,
+    /// Logical node indices living in this rack: racks are contiguous, index-stable
+    /// blocks, so the range is the whole membership list.
+    pub members: Range<usize>,
     /// Shared power budget in watts (`None` = unbudgeted).
     pub power_budget_w: Option<f64>,
 }
 
 /// The resolved, run-time rack structure: built once per run from the scenario's
-/// [`TopologyConfig`] and never mutated afterwards.
+/// [`TopologyConfig`] and never mutated afterwards. It holds one entry per rack and
+/// nothing per logical node: membership is a range and [`Self::rack_of`] is a
+/// division.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     racks: Vec<Rack>,
-    rack_of: Vec<usize>,
+    nodes: usize,
+    nodes_per_rack: usize,
     flat: bool,
 }
 
@@ -221,10 +229,11 @@ impl Topology {
         match config {
             TopologyConfig::Flat => Topology {
                 racks: vec![Rack {
-                    members: (0..nodes).collect(),
+                    members: 0..nodes,
                     power_budget_w: None,
                 }],
-                rack_of: vec![0; nodes],
+                nodes,
+                nodes_per_rack: nodes.max(1),
                 flat: true,
             },
             TopologyConfig::Racks {
@@ -235,14 +244,14 @@ impl Topology {
                 debug_assert_eq!(racks * nodes_per_rack, nodes, "validated upstream");
                 let rack_list = (0..*racks)
                     .map(|r| Rack {
-                        members: (r * nodes_per_rack..(r + 1) * nodes_per_rack).collect(),
+                        members: r * nodes_per_rack..(r + 1) * nodes_per_rack,
                         power_budget_w: *rack_power_w,
                     })
                     .collect();
-                let rack_of = (0..nodes).map(|i| i / nodes_per_rack).collect();
                 Topology {
                     racks: rack_list,
-                    rack_of,
+                    nodes,
+                    nodes_per_rack: *nodes_per_rack,
                     flat: false,
                 }
             }
@@ -266,8 +275,17 @@ impl Topology {
     }
 
     /// The rack a logical node lives in.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is outside the fleet.
     pub fn rack_of(&self, node: usize) -> usize {
-        self.rack_of[node]
+        assert!(
+            node < self.nodes,
+            "node {node} outside the {}-node fleet",
+            self.nodes
+        );
+        node / self.nodes_per_rack
     }
 
     /// The shared power budget of a rack in watts (`None` = unbudgeted).
@@ -285,7 +303,7 @@ mod tests {
         let t = Topology::resolve(&TopologyConfig::Flat, 5);
         assert!(t.is_flat());
         assert_eq!(t.rack_count(), 1);
-        assert_eq!(t.racks()[0].members, vec![0, 1, 2, 3, 4]);
+        assert_eq!(t.racks()[0].members, 0..5);
         assert_eq!(t.power_budget_w(0), None);
         assert!((0..5).all(|i| t.rack_of(i) == 0));
     }
@@ -300,7 +318,7 @@ mod tests {
         let t = Topology::resolve(&config, 6);
         assert!(!t.is_flat());
         assert_eq!(t.rack_count(), 3);
-        assert_eq!(t.racks()[1].members, vec![2, 3]);
+        assert_eq!(t.racks()[1].members, 2..4);
         assert_eq!(t.rack_of(4), 2);
         assert_eq!(t.power_budget_w(2), Some(400.0));
     }

@@ -87,6 +87,10 @@ impl LintConfig {
                 // runs for every instance of every interval whenever a fleet carries
                 // a fault profile.
                 "NodeHealth::is_serving",
+                // A fault event's lookup of the instance that carries its logical node
+                // exactly: a binary search over the sparse map, which keeps nothing
+                // per logical node.
+                "InstanceIndex::get",
                 // The fleet loop's per-interval phases that reuse scratch buffers:
                 // the serving mask, consolidation, placement (with its rack sampling
                 // step), and the balancer dispatch with its trace audit.

@@ -290,6 +290,25 @@ fn lazy_sample_path_stays_on_the_hot_path_denylist() {
     }
 }
 
+/// Fault events look up the instance carrying their logical node in a sparse map
+/// inside the per-interval fault phase, so the lookup stays on the denylist.
+#[test]
+fn fault_instance_lookup_stays_on_the_hot_path_denylist() {
+    let cfg = LintConfig::repo_default();
+    assert!(
+        cfg.hot_path_fns.iter().any(|f| f == "InstanceIndex::get"),
+        "InstanceIndex::get must stay on the hot-path-alloc denylist"
+    );
+    let src = "impl InstanceIndex { fn get(&self, node: usize) -> Option<usize> { \
+               let v = vec![node; 4]; v.first().copied() } }";
+    let findings = lint_source("crates/cluster/src/faults.rs", src, &cfg);
+    assert!(
+        findings.iter().any(|f| f.rule == "hot-path-alloc"),
+        "a vec![..] inside InstanceIndex::get must be flagged, got:\n{}",
+        render(&findings)
+    );
+}
+
 /// The benchmark harnesses measure wall and CPU time by design and may read the
 /// clock; every library path stays under the nondeterminism rule.
 #[test]
