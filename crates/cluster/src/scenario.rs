@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 
 use pliant_approx::catalog::AppId;
 use pliant_core::policy::PolicyKind;
-use pliant_core::scenario::Horizon;
+use pliant_core::scenario::{Horizon, MAX_HORIZON_INTERVALS};
 use pliant_workloads::profile::{LoadProfile, LoadProfileError, MAX_LOAD_FRACTION};
 use pliant_workloads::service::ServiceId;
 
@@ -210,6 +210,10 @@ impl ClusterScenario {
         if !horizon_ok {
             return Err(ClusterScenarioError::InvalidHorizon);
         }
+        let intervals = self.max_intervals();
+        if intervals > MAX_HORIZON_INTERVALS {
+            return Err(ClusterScenarioError::HorizonTooLong { intervals });
+        }
         if !(self.slack_threshold >= 0.0 && self.slack_threshold.is_finite()) {
             return Err(ClusterScenarioError::InvalidSlackThreshold);
         }
@@ -376,6 +380,11 @@ pub enum ClusterScenarioError {
     InvalidDecisionInterval,
     /// The horizon is empty or not finite.
     InvalidHorizon,
+    /// The horizon runs more than [`MAX_HORIZON_INTERVALS`] decision intervals.
+    HorizonTooLong {
+        /// Intervals the horizon asks for (saturated at `usize::MAX`).
+        intervals: usize,
+    },
     /// The slack threshold is negative or not finite.
     InvalidSlackThreshold,
     /// The QoS-target override is zero, negative, or not finite (every latency ratio
@@ -436,6 +445,11 @@ impl std::fmt::Display for ClusterScenarioError {
             ClusterScenarioError::InvalidHorizon => {
                 f.write_str("horizon must be positive and finite")
             }
+            ClusterScenarioError::HorizonTooLong { intervals } => write!(
+                f,
+                "horizon of {intervals} decision intervals exceeds the maximum of \
+                 {MAX_HORIZON_INTERVALS}"
+            ),
             ClusterScenarioError::InvalidSlackThreshold => {
                 f.write_str("slack threshold must be non-negative")
             }
@@ -559,7 +573,13 @@ impl ClusterScenarioBuilder {
 
     /// Appends several batch jobs to the submission queue.
     pub fn jobs(mut self, jobs: impl IntoIterator<Item = AppId>) -> Self {
-        self.scenario.jobs.extend(jobs);
+        if self.scenario.jobs.is_empty() {
+            // Collecting a `Vec` keeps its buffer: a million-node job list is not
+            // copied into a second one.
+            self.scenario.jobs = jobs.into_iter().collect();
+        } else {
+            self.scenario.jobs.extend(jobs);
+        }
         self
     }
 

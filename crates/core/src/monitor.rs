@@ -30,12 +30,12 @@
 
 use serde::{Deserialize, Serialize};
 
-use pliant_telemetry::fastmath::fast_ln;
+use pliant_telemetry::fastmath::fast_ln_normal;
 use pliant_telemetry::histogram::LatencyHistogram;
 use pliant_telemetry::rng::seeded_rng;
 use pliant_telemetry::window::EwmaTracker;
 use rand::rngs::SmallRng;
-use rand::Rng;
+use rand::{Rng, RngCore};
 
 /// Fewest samples the monitor estimates an interval's tail from: a skip-sampled
 /// subsample smaller than this falls back to reading every sample of the interval.
@@ -233,20 +233,15 @@ impl PerformanceMonitor {
             selected.extend(0..n);
         } else if rate > 0.0 {
             // Geometric skip-sampling: instead of one Bernoulli draw per request, jump
-            // straight to the next selected request. The gap before each selection is
-            // geometric with success probability `rate`, i.e.
-            // `floor(ln(U) / ln(1 - rate))` — one uniform and one (polynomial) log per
-            // *selected* request, ~1/rate times fewer draws than per-request thinning.
+            // straight to the next selected request — one uniform and one (polynomial)
+            // log per *selected* request, ~1/rate times fewer draws than per-request
+            // thinning.
             let ln_one_minus_rate = if self.currently_elevated {
                 self.elevated_skip_ln
             } else {
                 self.base_skip_ln
             };
-            let mut index = self.skip(ln_one_minus_rate);
-            while index < n {
-                selected.push(index);
-                index += 1 + self.skip(ln_one_minus_rate);
-            }
+            skip_sample(&mut self.rng, ln_one_minus_rate, n, selected);
         }
         // Guard against a tiny subsample (short intervals at low load): read the full
         // set, which the real monitor would also do by forcing a minimum sample count.
@@ -325,15 +320,57 @@ impl PerformanceMonitor {
     pub fn interval_histogram(&self) -> &LatencyHistogram {
         &self.hist
     }
+}
 
-    /// Number of unselected requests to jump over before the next monitored one
-    /// (geometric with the current sampling rate).
-    fn skip(&mut self, ln_one_minus_rate: f64) -> usize {
-        // 1 - unit uniform lies in (0, 1], so the logarithm is finite and <= 0; the
-        // ratio of two non-positive finite numbers is non-negative, and the cast
-        // saturates on the (bounded) maximum.
-        let u = 1.0 - self.rng.gen_range(0.0f64..1.0);
-        (fast_ln(u) / ln_one_minus_rate) as usize
+/// Geometric skips [`skip_sample`] computes at a time: about a third of a 1000-request
+/// interval's skips at the base rate. Blocks of 8 measured no faster than one skip at a
+/// time; 16 and 32 about 1.6× faster.
+const SKIP_BLOCK: usize = 16;
+
+/// Geometric skip-sampling over `0..n`, appending the selected indices to `selected`.
+///
+/// The gap before each selection is geometric with success probability `rate`,
+/// `floor(ln(U) / ln(1 - rate))` for a fresh uniform `U`, and the walk ends at the first
+/// index at or past `n`: the selections are `s0`, `s0 + 1 + s1`, ... for skips
+/// `s0, s1, ...`, one draw each, and the skip that overshoots `n` consumes its draw too.
+///
+/// The skips are computed [`SKIP_BLOCK`] at a time from a clone of `rng`: the uniforms
+/// first, then every logarithm and division of the block in one branch-free loop the
+/// compiler vectorizes, then the indices, kept up to the first one past `n`. `rng` then
+/// advances by exactly the draws the walk used, so the indices and the stream
+/// afterwards are those of drawing one skip at a time.
+fn skip_sample(rng: &mut SmallRng, ln_one_minus_rate: f64, n: usize, selected: &mut Vec<usize>) {
+    let mut ahead = rng.clone();
+    let mut next = 0usize;
+    loop {
+        let block_start = ahead.clone();
+        // 1 - unit uniform lies in [2^-53, 1], a normal float, so the logarithm is
+        // finite and <= 0; the ratio of two non-positive finite numbers is non-negative.
+        let mut ratios = [0.0f64; SKIP_BLOCK];
+        for u in &mut ratios {
+            *u = 1.0 - ahead.gen_range(0.0f64..1.0);
+        }
+        for r in &mut ratios {
+            *r = fast_ln_normal(*r) / ln_one_minus_rate;
+        }
+        // The casts saturate on the (bounded) maximum. The sums saturate too, so an
+        // index stays past `n` once one is (only an overshoot can grow that large) and
+        // the kept indices, all below `n`, are exact.
+        let mut indices = [0usize; SKIP_BLOCK];
+        for (index, r) in indices.iter_mut().zip(ratios) {
+            *index = next.saturating_add(r as usize);
+            next = index.saturating_add(1);
+        }
+        let kept = indices.iter().filter(|&&index| index < n).count();
+        selected.extend_from_slice(&indices[..kept]);
+        if kept < SKIP_BLOCK {
+            // The walk used this block's first `kept + 1` draws.
+            *rng = block_start;
+            for _ in 0..=kept {
+                rng.next_u64();
+            }
+            return;
+        }
     }
 }
 
@@ -568,6 +605,46 @@ mod tests {
             // At either rate every non-empty interval reads every sample.
             let busy = intervals.iter().filter(|s| !s.is_empty()).count();
             assert_eq!(assert_lazy_ingest_matches(fixed, &intervals), busy);
+        }
+    }
+
+    /// The one-skip-at-a-time walk [`skip_sample`] replaces, kept as its reference.
+    fn skip_sample_one_at_a_time(
+        rng: &mut SmallRng,
+        ln_one_minus_rate: f64,
+        n: usize,
+        selected: &mut Vec<usize>,
+    ) {
+        let mut skip = || {
+            let u = 1.0 - rng.gen_range(0.0f64..1.0);
+            (pliant_telemetry::fastmath::fast_ln(u) / ln_one_minus_rate) as usize
+        };
+        let mut index = skip();
+        while index < n {
+            selected.push(index);
+            index += 1 + skip();
+        }
+    }
+
+    #[test]
+    fn block_skips_match_one_skip_at_a_time() {
+        // Rates from near-zero (a `ln(1 - rate)` that rounds to zero selects every
+        // index) to near-one, and interval lengths around every block boundary.
+        let rates = [1e-17, 1e-9, 0.001, 0.05, 0.25, 0.5, 0.9, 0.999_999];
+        let lengths = (0..=3 * SKIP_BLOCK + 1).chain([100, 1000, 4097]);
+        for (r, rate) in rates.into_iter().enumerate() {
+            let ln_one_minus_rate = (1.0f64 - rate).ln();
+            for n in lengths.clone() {
+                let mut block_rng = seeded_rng(r as u64 * 7919 + n as u64);
+                let mut one_rng = block_rng.clone();
+                let (mut block, mut one) = (vec![usize::MAX], vec![usize::MAX]);
+                for _ in 0..20 {
+                    skip_sample(&mut block_rng, ln_one_minus_rate, n, &mut block);
+                    skip_sample_one_at_a_time(&mut one_rng, ln_one_minus_rate, n, &mut one);
+                    assert_eq!(block, one, "rate {rate} n {n}: indices");
+                    assert_eq!(block_rng, one_rng, "rate {rate} n {n}: RNG state");
+                }
+            }
         }
     }
 

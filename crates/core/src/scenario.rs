@@ -34,6 +34,14 @@ pub enum Horizon {
     Seconds(f64),
 }
 
+/// Most decision intervals a scenario may run: a million, over eleven days at the
+/// paper's 1 s decision interval and far above every horizon the figures, tests and
+/// benchmark use (at most a few thousand). A run reserves its per-interval series for
+/// the whole horizon up front, so validation rejects anything longer: a huge
+/// `Horizon::Seconds` saturates [`Horizon::max_intervals`] at `usize::MAX`, and the
+/// reservation would then panic or ask for terabytes.
+pub const MAX_HORIZON_INTERVALS: usize = 1_000_000;
+
 impl Horizon {
     /// The number of decision intervals this horizon allows at interval length `dt_s`.
     pub fn max_intervals(&self, dt_s: f64) -> usize {
@@ -142,6 +150,10 @@ impl Scenario {
         if !horizon_ok {
             return Err(ScenarioError::InvalidHorizon);
         }
+        let intervals = self.max_intervals();
+        if intervals > MAX_HORIZON_INTERVALS {
+            return Err(ScenarioError::HorizonTooLong { intervals });
+        }
         if !(self.slack_threshold >= 0.0 && self.slack_threshold.is_finite()) {
             return Err(ScenarioError::InvalidSlackThreshold);
         }
@@ -243,6 +255,11 @@ pub enum ScenarioError {
     InvalidDecisionInterval,
     /// The horizon is empty or not finite.
     InvalidHorizon,
+    /// The horizon runs more than [`MAX_HORIZON_INTERVALS`] decision intervals.
+    HorizonTooLong {
+        /// Intervals the horizon asks for (saturated at `usize::MAX`).
+        intervals: usize,
+    },
     /// The slack threshold is negative or not finite.
     InvalidSlackThreshold,
     /// The QoS-target override is zero, negative, or not finite (every latency ratio
@@ -266,6 +283,11 @@ impl std::fmt::Display for ScenarioError {
                 f.write_str("decision interval must be positive")
             }
             ScenarioError::InvalidHorizon => f.write_str("horizon must be positive and finite"),
+            ScenarioError::HorizonTooLong { intervals } => write!(
+                f,
+                "horizon of {intervals} decision intervals exceeds the maximum of \
+                 {MAX_HORIZON_INTERVALS}"
+            ),
             ScenarioError::InvalidSlackThreshold => {
                 f.write_str("slack threshold must be non-negative")
             }

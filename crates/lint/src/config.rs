@@ -71,6 +71,14 @@ impl LintConfig {
                 "LatencyModel::sample_selected_latencies_into",
                 "fill_selected_lognormals",
                 "ziggurat_skip",
+                // Every busy-interval sample path shares these: the ziggurat candidate
+                // decode and its branch-free sign, and the monitor's geometric skips,
+                // computed a block at a time through the branch-free `ln` core.
+                "ziggurat_candidate",
+                "ziggurat_signed",
+                "skip_sample",
+                "fast_ln_normal",
+                "ln_core",
                 // The hyperscale grouped-dispatch path (PR 7): runs once per interval
                 // on clustered fleets whose logical size can reach 100k nodes, and the
                 // per-sample replication inside ClusterNode::step.

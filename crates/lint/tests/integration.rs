@@ -290,6 +290,33 @@ fn lazy_sample_path_stays_on_the_hot_path_denylist() {
     }
 }
 
+/// The ziggurat's candidate decode and sign run for every sample of every busy
+/// interval, and the monitor's block skips and their `ln` core for every selected
+/// index, so all stay on the denylist.
+#[test]
+fn sample_decode_and_block_skips_stay_on_the_hot_path_denylist() {
+    let cfg = LintConfig::repo_default();
+    for (hot, path) in [
+        ("ziggurat_candidate", "crates/telemetry/src/rng.rs"),
+        ("ziggurat_signed", "crates/telemetry/src/rng.rs"),
+        ("skip_sample", "crates/core/src/monitor.rs"),
+        ("fast_ln_normal", "crates/telemetry/src/fastmath.rs"),
+        ("ln_core", "crates/telemetry/src/fastmath.rs"),
+    ] {
+        assert!(
+            cfg.hot_path_fns.iter().any(|f| f == hot),
+            "{hot} must stay on the hot-path-alloc denylist"
+        );
+        let src = format!("fn {hot}(x: f64) -> f64 {{ let v = vec![x; 4]; v[0] }}");
+        let findings = lint_source(path, &src, &cfg);
+        assert!(
+            findings.iter().any(|f| f.rule == "hot-path-alloc"),
+            "a vec![..] inside {hot} must be flagged, got:\n{}",
+            render(&findings)
+        );
+    }
+}
+
 /// Fault events look up the instance carrying their logical node in a sparse map
 /// inside the per-interval fault phase, so the lookup stays on the denylist.
 #[test]

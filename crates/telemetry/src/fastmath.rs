@@ -35,6 +35,8 @@ const LN2_LO: f64 = 1.908_214_929_270_587_7e-10;
 /// Adding and subtracting `2^52 + 2^51` rounds a double to the nearest integer without a
 /// branch or an SSE4 `round` instruction; valid for |x| < 2^51.
 const ROUND_SHIFT: f64 = 6_755_399_441_055_744.0;
+/// `2^52`: below it the low mantissa bits of `2^52 + k` hold the integer `k` exactly.
+const TWO_52: f64 = 4_503_599_627_370_496.0;
 
 /// Largest `|x|` [`fast_exp_in_range`] accepts: `707 · log2(e) ≈ 1020`, so the scale
 /// `2^n` is always a normal double and needs no edge handling.
@@ -142,6 +144,7 @@ fn poly_exp(r: f64) -> f64 {
 ///
 /// `ln(0) = -inf`, negative inputs and NaN return NaN, `ln(inf) = inf` — matching
 /// `f64::ln`'s edge behavior. Subnormal inputs are scaled into the normal range first.
+/// On positive normal finite inputs this is exactly [`fast_ln_normal`].
 #[inline]
 pub fn fast_ln(x: f64) -> f64 {
     if x.is_nan() || x < 0.0 {
@@ -153,22 +156,42 @@ pub fn fast_ln(x: f64) -> f64 {
     if x == f64::INFINITY {
         return f64::INFINITY;
     }
-    let (x, sub_offset) = if x < f64::MIN_POSITIVE {
+    if x < f64::MIN_POSITIVE {
         // Subnormal: scale by 2^54 (exact) and subtract 54·ln2 at the end.
-        (x * 18_014_398_509_481_984.0, 54.0)
-    } else {
-        (x, 0.0)
-    };
-    let bits = x.to_bits();
-    let mut e = ((bits >> 52) as i64 & 0x7ff) - 1023;
-    // Mantissa m in [1, 2).
-    let mut m = f64::from_bits((bits & 0x000f_ffff_ffff_ffff) | 0x3ff0_0000_0000_0000);
-    // Center m on 1 (m in [sqrt(1/2), sqrt(2))) so the atanh series argument stays small.
-    if m > std::f64::consts::SQRT_2 {
-        m *= 0.5;
-        e += 1;
+        return ln_core(x * 18_014_398_509_481_984.0, 54.0);
     }
-    let ef = e as f64 - sub_offset;
+    ln_core(x, 0.0)
+}
+
+/// The branch-free core of [`fast_ln`] for positive normal finite `x` (`f64::MIN_POSITIVE`
+/// up to `f64::MAX`): the same operations in the same order, so it returns the same bits
+/// there. Outside that range the result is meaningless.
+///
+/// The monitor's geometric skips take the logarithm of a uniform in `[2^-53, 1]`, which
+/// is always in range; without the edge guards a block of them vectorizes.
+#[inline]
+pub fn fast_ln_normal(x: f64) -> f64 {
+    ln_core(x, 0.0)
+}
+
+/// `ln(x) - sub_offset · ln2` for positive normal finite `x`, through the atanh series.
+///
+/// Free of branches and of integer-to-float conversions, so a loop of it over a slice
+/// vectorizes with plain SSE2 (as the monitor's block of geometric skips does).
+#[inline(always)]
+fn ln_core(x: f64, sub_offset: f64) -> f64 {
+    let bits = x.to_bits();
+    // The unbiased exponent as a float, exactly: the biased exponent is placed in the
+    // low mantissa bits of 2^52, then 2^52 and the bias are subtracted.
+    let e = f64::from_bits(TWO_52.to_bits() | ((bits >> 52) & 0x7ff)) - (TWO_52 + 1023.0);
+    // Mantissa m in [1, 2).
+    let m = f64::from_bits((bits & 0x000f_ffff_ffff_ffff) | 0x3ff0_0000_0000_0000);
+    // Center m on 1 (m in [sqrt(1/2), sqrt(2))) so the atanh series argument stays small:
+    // above sqrt(2), halve m (exact) and count the halving in the exponent. Selects, not
+    // a branch: which half of its binade a uniform's mantissa falls in is a coin flip.
+    let high = m > std::f64::consts::SQRT_2;
+    let m = if high { m * 0.5 } else { m };
+    let ef = (e + if high { 1.0 } else { 0.0 }) - sub_offset;
     // ln m = 2·atanh(t) with t = (m-1)/(m+1), |t| <= 0.1716.
     let t = (m - 1.0) / (m + 1.0);
     let t2 = t * t;
@@ -236,6 +259,18 @@ mod tests {
             x *= 1.000_93;
         }
         assert!(worst < 1e-13, "worst ln error {worst:.3e}");
+    }
+
+    #[test]
+    fn fast_ln_normal_matches_fast_ln_bit_for_bit_on_the_normal_range() {
+        let mut x = f64::MIN_POSITIVE;
+        while x < 1e300 {
+            assert_eq!(fast_ln_normal(x).to_bits(), fast_ln(x).to_bits(), "x {x:e}");
+            x *= 1.000_37;
+        }
+        for x in [f64::MAX, 1.0, std::f64::consts::SQRT_2, 2.0f64.next_down()] {
+            assert_eq!(fast_ln_normal(x).to_bits(), fast_ln(x).to_bits(), "x {x:e}");
+        }
     }
 
     #[test]

@@ -219,22 +219,33 @@ pub fn sample_normal_ziggurat<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 #[inline(always)]
 fn ziggurat_normal<R: Rng + ?Sized>(t: &ZigTables, rng: &mut R) -> f64 {
     let bits: u64 = rng.gen();
-    let (i, sign, x) = ziggurat_candidate(t, bits);
+    let (i, x) = ziggurat_candidate(t, bits);
     // Wholly inside the layer's inner rectangle: accept immediately.
     if x < t.x[i + 1] {
-        sign * x
+        ziggurat_signed(bits, x)
     } else {
         ziggurat_slow_path(t, rng, bits)
     }
 }
 
-/// Decodes one ziggurat draw: the layer (low 8 bits), the signed unit (bit 8), and the
-/// candidate `x = u · x[i]` from a 53-bit uniform (bits 11..64) — all independent.
+/// Decodes one ziggurat draw: the layer (low 8 bits) and the unsigned candidate
+/// `x = u · x[i]` from a 53-bit uniform (bits 11..64). Bit 8, independent of both, is
+/// the sign [`ziggurat_signed`] gives an accepted value.
 #[inline(always)]
-fn ziggurat_candidate(t: &ZigTables, bits: u64) -> (usize, f64, f64) {
+fn ziggurat_candidate(t: &ZigTables, bits: u64) -> (usize, f64) {
     let i = (bits & 0xff) as usize;
-    let sign = if bits & 0x100 == 0 { 1.0 } else { -1.0 };
-    (i, sign, unit(bits >> 11) * t.x[i])
+    (i, unit(bits >> 11) * t.x[i])
+}
+
+/// Gives an accepted magnitude `x >= 0` the sign that bit 8 of its candidate's draw
+/// `bits` picks (set: negative), by moving that bit into the sign bit.
+///
+/// For every finite `x >= 0` this is bit for bit `±1.0 * x`, `+0.0 → -0.0` included,
+/// but it compiles to a shift and an `xor`: a branch on the sign bit goes either way on
+/// a random half of the draws, so it is mispredicted about half the time.
+#[inline(always)]
+fn ziggurat_signed(bits: u64, x: f64) -> f64 {
+    f64::from_bits(x.to_bits() ^ ((bits & 0x100) << 55))
 }
 
 /// Advances `rng` past one ziggurat normal without computing it: the draws are exactly
@@ -256,10 +267,10 @@ fn ziggurat_skip<R: Rng + ?Sized>(t: &ZigTables, rng: &mut R) {
 #[inline(never)]
 fn ziggurat_slow_path<R: Rng + ?Sized>(t: &ZigTables, rng: &mut R, mut bits: u64) -> f64 {
     loop {
-        let (i, sign, x) = ziggurat_candidate(t, bits);
+        let (i, x) = ziggurat_candidate(t, bits);
         // Fails for the first draw; a fresh one may land inside its inner rectangle.
         if x < t.x[i + 1] {
-            return sign * x;
+            return ziggurat_signed(bits, x);
         }
         if i == 0 {
             // Base strip: x in [R, x[0]) selects the tail (Marsaglia's exponential
@@ -270,7 +281,7 @@ fn ziggurat_slow_path<R: Rng + ?Sized>(t: &ZigTables, rng: &mut R, mut bits: u64
                 let xt = -fast_ln(u1) / ZIG_R;
                 let yt = -fast_ln(u2);
                 if xt.is_finite() && 2.0 * yt >= xt * xt {
-                    return sign * (ZIG_R + xt);
+                    return ziggurat_signed(bits, ZIG_R + xt);
                 }
             }
         }
@@ -278,7 +289,7 @@ fn ziggurat_slow_path<R: Rng + ?Sized>(t: &ZigTables, rng: &mut R, mut bits: u64
         // density overhang above the layer's flat top.
         let y = t.f[i] + (t.f[i + 1] - t.f[i]) * rng.gen::<f64>();
         if y < fast_exp(-0.5 * x * x) {
-            return sign * x;
+            return ziggurat_signed(bits, x);
         }
         bits = rng.gen();
     }
@@ -540,6 +551,30 @@ mod tests {
         // most of its draws.
         assert_eq!(t.k[ZIG_LAYERS - 1], 0);
         assert!(t.k[..ZIG_LAYERS - 1].iter().all(|&k| k > 1 << 51));
+    }
+
+    #[test]
+    fn signing_by_the_sign_bit_matches_multiplying_by_plus_or_minus_one() {
+        let magnitudes = [
+            0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            0.5,
+            1.0,
+            ZIG_R,
+            ZIG_R + 700.0,
+            f64::MAX,
+        ];
+        for x in magnitudes {
+            for bits in [0u64, 0x100, 0xffff_ffff_ffff_feff, u64::MAX] {
+                let sign = if bits & 0x100 == 0 { 1.0 } else { -1.0 };
+                assert_eq!(
+                    ziggurat_signed(bits, x).to_bits(),
+                    (sign * x).to_bits(),
+                    "x {x:e}, bits {bits:#x}"
+                );
+            }
+        }
     }
 
     #[test]

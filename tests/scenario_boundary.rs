@@ -9,6 +9,7 @@
 //! population and a plan covering exactly its logical nodes.
 
 use pliant::prelude::*;
+use pliant::runtime::scenario::MAX_HORIZON_INTERVALS;
 use pliant::telemetry::rng::seeded_rng;
 use proptest::prelude::*;
 use rand::Rng;
@@ -46,6 +47,85 @@ fn an_archive_whose_slot_count_overflows_is_rejected() {
     let err = serde_json::from_str::<ClusterScenario>(&json)
         .expect_err("an overflowing fleet must not deserialize");
     assert!(err.to_string().contains("overflow"), "{err}");
+}
+
+/// Swaps the serialized `from` horizon in `json` for `to`, checking that it was there.
+fn with_horizon(json: &str, from: Horizon, to: Horizon) -> String {
+    let from = serde_json::to_string(&from).expect("horizons serialize");
+    let to = serde_json::to_string(&to).expect("horizons serialize");
+    assert!(json.contains(&from), "{json} carries no {from}");
+    json.replace(&from, &to)
+}
+
+#[test]
+fn a_cluster_horizon_past_the_interval_bound_is_rejected() {
+    let mut scenario = base();
+    scenario.horizon = Horizon::Seconds(1e300);
+    // 1e300 s saturates `max_intervals` at usize::MAX; a run would then reserve its
+    // per-interval series for that many intervals and panic.
+    assert_eq!(
+        scenario.validate(),
+        Err(ClusterScenarioError::HorizonTooLong {
+            intervals: usize::MAX
+        })
+    );
+    scenario.horizon = Horizon::Intervals(MAX_HORIZON_INTERVALS + 1);
+    assert_eq!(
+        scenario.validate(),
+        Err(ClusterScenarioError::HorizonTooLong {
+            intervals: MAX_HORIZON_INTERVALS + 1
+        })
+    );
+    scenario.horizon = Horizon::Intervals(MAX_HORIZON_INTERVALS);
+    assert_eq!(scenario.validate(), Ok(()));
+    let built = ClusterScenario::builder(ServiceId::Memcached)
+        .nodes(6)
+        .slots_per_node(2)
+        .jobs((0..12).map(|_| AppId::Canneal))
+        .horizon_seconds(1e12)
+        .try_build();
+    assert!(
+        matches!(built, Err(ClusterScenarioError::HorizonTooLong { .. })),
+        "{built:?}"
+    );
+    let mut short = base();
+    short.horizon = Horizon::Seconds(30.0);
+    let json = serde_json::to_string(&short).expect("scenarios serialize");
+    let json = with_horizon(&json, Horizon::Seconds(30.0), Horizon::Seconds(1e300));
+    let err = serde_json::from_str::<ClusterScenario>(&json)
+        .expect_err("an unbounded horizon must not deserialize");
+    assert!(err.to_string().contains("exceeds the maximum"), "{err}");
+}
+
+#[test]
+fn a_single_node_horizon_past_the_interval_bound_is_rejected() {
+    let builder = || Scenario::builder(ServiceId::Memcached).app(AppId::Canneal);
+    let built = builder().horizon_seconds(1e300).try_build();
+    assert_eq!(
+        built,
+        Err(ScenarioError::HorizonTooLong {
+            intervals: usize::MAX
+        })
+    );
+    let built = builder()
+        .horizon_intervals(MAX_HORIZON_INTERVALS + 1)
+        .try_build();
+    assert_eq!(
+        built,
+        Err(ScenarioError::HorizonTooLong {
+            intervals: MAX_HORIZON_INTERVALS + 1
+        })
+    );
+    assert!(builder()
+        .horizon_intervals(MAX_HORIZON_INTERVALS)
+        .try_build()
+        .is_ok());
+    let json = serde_json::to_string(&builder().horizon_seconds(30.0).build())
+        .expect("scenarios serialize");
+    let json = with_horizon(&json, Horizon::Seconds(30.0), Horizon::Seconds(1e300));
+    let err = serde_json::from_str::<Scenario>(&json)
+        .expect_err("an unbounded horizon must not deserialize");
+    assert!(err.to_string().contains("exceeds the maximum"), "{err}");
 }
 
 /// Maps a raw draw onto a size-like value: mostly small, else at or near a `usize`
